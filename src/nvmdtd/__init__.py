@@ -34,12 +34,10 @@ from .channel import (
     save_dataset,
 )
 from .detectors import (
-    DetectorOutput,
     DtdResult,
     GenieDetector,
     NnDetector,
     ThresholdDetector,
-    detect_with_nn,
     dtd_search,
     hamming,
     hard_decision,

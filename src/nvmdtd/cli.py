@@ -100,10 +100,46 @@ def _load_asset(path_str: str | None):
     return load_weights(path)
 
 
+def _labeler(cfg: dict, section: str, args):
+    """Fold ``--genie``/``--weights`` into ``cfg[section]`` and build the labeling detector."""
+    sec = dict(cfg[section])
+    if args.genie:
+        sec["genie"] = True
+    if args.weights:
+        sec["weights"] = args.weights
+    cfg[section] = sec
+    if sec["genie"]:
+        return GenieDetector()
+    model = _load_asset(sec["weights"])
+    if model is None:
+        raise MissingAssetError(f"{section} needs --genie or a --weights file")
+    return NnDetector(model)
+
+
+def _sweep(cfg: dict, section: str, weights: dict, out: Path, **grid) -> list[dict]:
+    """Run the detectors of ``cfg[section]`` over ``grid``; writes ``<section>.csv``."""
+    sec = cfg[section]
+    spec = harness.SweepSpec(
+        detectors=tuple(sec["detectors"]),
+        blocks_per_point=sec["blocks"],
+        seed=cfg["seed"],
+        n=cfg["n"],
+        calib_blocks=sec["calib_blocks"],
+        quantizer=quantizer_spec(sec["quantizer"]),
+        **grid,
+    )
+    assets = {k: _load_asset(v) for k, v in weights.items() if v is not None}
+    out.mkdir(parents=True, exist_ok=True)
+    rows = harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv",
+                             threads=cfg["threads"])
+    echo_config(cfg, out, section)
+    return rows
+
+
 def cmd_gen(args) -> int:
     cfg = _resolved(args)
     params = channel_params(cfg["channel"])
-    n = cfg["gen"]["n"]
+    n = cfg["n"]
     blocks = [
         sample_block(params, n, block_stream(cfg["seed"], i))
         for i in range(cfg["gen"]["blocks"])
@@ -125,10 +161,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = harness.training_curve(
         kind, params, tc, csv_path=out / "curve.csv",
-        n=cfg["train"]["n"], hidden=cfg["train"]["hidden"],
+        n=cfg["n"], hidden=cfg["train"]["hidden"],
     )
     weight_path = out / f"weights-{kind}.nvmw"
-    save_weights(result.model, weight_path, seed=cfg["seed"], n=cfg["train"]["n"])
+    save_weights(result.model, weight_path, seed=cfg["seed"], n=cfg["n"])
     echo_config(cfg, out, "train")
     final = result.history[-1]
     print(f"trained {kind}: {tc.epochs} epochs, final validation BER {final.val_ber:.3e}")
@@ -176,26 +212,14 @@ def cmd_analytic(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolved(args)
-    ev = cfg["eval"]
     ch = cfg["channel"]
-    spec = harness.SweepSpec(
+    rows = _sweep(
+        cfg, "eval", cfg["eval"]["weights"], Path(args.out),
         ratios=(ch["ratio"],),
         mu_b_values=(ch["mu_b"],),
         sigma_b_over_mu1=ch["sigma_b_over_mu1"],
         noise_model=NoiseModel(ch["noise_model"]),
-        detectors=tuple(ev["detectors"]),
-        blocks_per_point=ev["blocks"],
-        seed=cfg["seed"],
-        n=ev["n"],
-        calib_blocks=ev["calib_blocks"],
-        quantizer=quantizer_spec(ev["quantizer"]),
     )
-    assets = {k: _load_asset(v) for k, v in ev["weights"].items() if v is not None}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = harness.run_sweep(spec, assets=assets, csv_path=out / "eval.csv",
-                             threads=cfg["threads"])
-    echo_config(cfg, out, "eval")
     for row in rows:
         print(f"{row['detector']:<16} ber={row['ber']:.6e} ci={row['ci']:.2e}")
     return EXIT_OK
@@ -203,22 +227,10 @@ def cmd_eval(args) -> int:
 
 def cmd_dtd(args) -> int:
     cfg = _resolved(args)
-    dt = dict(cfg["dtd"])
-    if args.genie:
-        dt["genie"] = True
-    if args.weights:
-        dt["weights"] = args.weights
-    cfg["dtd"] = dt
     params = channel_params(cfg["channel"])
-    if dt["genie"]:
-        detector = GenieDetector()
-    else:
-        model = _load_asset(dt["weights"])
-        if model is None:
-            raise MissingAssetError("dtd needs --genie or a --weights file")
-        detector = NnDetector(model)
+    detector = _labeler(cfg, "dtd", args)
     result = harness.dtd_calibrate(
-        detector, params, dt["blocks"], derive_seed(cfg["seed"], 0), n=dt["n"]
+        detector, params, cfg["dtd"]["blocks"], derive_seed(cfg["seed"], 0), n=cfg["n"]
     )
     doc = {
         "r_adj": result.r_adj,
@@ -244,36 +256,21 @@ def cmd_sweep(args) -> int:
         weights["mlp"] = args.weights_mlp
     if args.weights_rnn:
         weights["rnn"] = args.weights_rnn
-    spec = harness.SweepSpec(
+    out = Path(args.out)
+    rows = _sweep(
+        cfg, "sweep", weights, out,
         ratios=tuple(sw["ratios"]),
         mu_b_values=tuple(sw["mu_b_values"]),
         sigma_b_over_mu1=sw["sigma_b_over_mu1"],
         noise_model=NoiseModel(sw["noise_model"]),
-        detectors=tuple(sw["detectors"]),
-        blocks_per_point=sw["blocks"],
-        seed=cfg["seed"],
-        n=sw["n"],
-        calib_blocks=sw["calib_blocks"],
-        quantizer=quantizer_spec(sw["quantizer"]),
     )
-    assets = {k: _load_asset(v) for k, v in weights.items() if v is not None}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = harness.run_sweep(spec, assets=assets, csv_path=out / "sweep.csv",
-                             threads=cfg["threads"])
-    echo_config(cfg, out, "sweep")
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_session(args) -> int:
     cfg = _resolved(args)
-    se = dict(cfg["session"])
-    if args.genie:
-        se["genie"] = True
-    if args.weights:
-        se["weights"] = args.weights
-    cfg["session"] = se
+    se = cfg["session"]
     segments = tuple(
         (seg["start_block"], channel_params(seg["channel"])) for seg in se["segments"]
     )
@@ -284,16 +281,10 @@ def cmd_session(args) -> int:
     schedule = harness.DriftSchedule(
         segments=segments, total_blocks=se["total_blocks"], trigger=policy
     )
-    if se["genie"]:
-        detector = GenieDetector()
-    else:
-        model = _load_asset(se["weights"])
-        if model is None:
-            raise MissingAssetError("session needs --genie or a --weights file")
-        detector = NnDetector(model)
+    detector = _labeler(cfg, "session", args)
     log = harness.simulate_recalibration_session(
         schedule, detector, seed=derive_seed(cfg["seed"], 0), m_blocks=se["m_blocks"],
-        initial_threshold=se["initial_threshold"], n=se["n"],
+        initial_threshold=se["initial_threshold"], n=cfg["n"],
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

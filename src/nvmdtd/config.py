@@ -28,8 +28,9 @@ _CHANNEL_DEFAULTS = {
 DEFAULT_CONFIG = {
     "seed": 12345,
     "threads": 1,
+    "n": 71,
     "channel": dict(_CHANNEL_DEFAULTS),
-    "gen": {"blocks": 100, "n": 71},
+    "gen": {"blocks": 100},
     "train": {
         "kind": "rnn",
         "epochs": 15,
@@ -40,18 +41,16 @@ DEFAULT_CONFIG = {
         "adam_epsilon": 1e-8,
         "train_blocks": None,
         "validation_blocks": 400,
-        "n": 71,
-        "hidden": 71,
+        "hidden": None,
     },
     "eval": {
         "blocks": None,
         "detectors": ["midpoint", "opt-no-offset", "opt-mean-offset", "opt-full"],
-        "n": 71,
         "calib_blocks": 100,
         "quantizer": None,
         "weights": {"mlp": None, "rnn": None},
     },
-    "dtd": {"blocks": 100, "n": 71, "genie": False, "weights": None},
+    "dtd": {"blocks": 100, "genie": False, "weights": None},
     "sweep": {
         "ratios": [0.05, 0.08, 0.10, 0.12],
         "mu_b_values": [0.0],
@@ -60,7 +59,6 @@ DEFAULT_CONFIG = {
         "detectors": ["midpoint", "opt-no-offset", "opt-mean-offset", "opt-full", "optimum-bound"],
         "blocks": None,
         "calib_blocks": 100,
-        "n": 71,
         "quantizer": None,
         "weights": {"mlp": None, "rnn": None},
     },
@@ -72,7 +70,6 @@ DEFAULT_CONFIG = {
         "initial_threshold": None,
         "genie": False,
         "weights": None,
-        "n": 71,
     },
 }
 
@@ -129,6 +126,9 @@ def resolve_config(user: dict | None, seed: int | None = None, threads: int | No
     if threads is not None:
         cfg["threads"] = threads
     cfg["paper_scale"] = bool(paper_scale)
+    n = cfg["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
 
     kind = cfg["train"]["kind"]
     if kind not in MINIBATCH_BLOCKS:

@@ -16,19 +16,6 @@ import numpy as np
 
 from .channel import QuantizerSpec, quantize
 from .errors import ParameterError
-from .nn.models import forward
-
-
-@dataclass
-class DetectorOutput:
-    """Soft estimates in (0, 1) and the hard decisions derived from them."""
-
-    soft: np.ndarray
-    hard: np.ndarray
-
-    def __post_init__(self):
-        if not np.array_equal(self.hard, np.asarray(self.soft) > 0.5):
-            raise ParameterError("hard decisions must equal soft > 0.5")
 
 
 @dataclass(frozen=True)
@@ -110,15 +97,6 @@ def dtd_search(reads, labels) -> DtdResult:
     )
 
 
-def detect_with_nn(model, y, quantizer: QuantizerSpec | None = None) -> DetectorOutput:
-    """Run a trained network over reads: optional quantization, forward pass, hard rule."""
-    y = np.asarray(y, dtype=np.float64)
-    if quantizer is not None:
-        y = quantize(y, quantizer)
-    soft = forward(model, y)
-    return DetectorOutput(soft=soft, hard=hard_decision(soft))
-
-
 class ThresholdDetector:
     """Batch detector applying one fixed sensing threshold."""
 
@@ -137,7 +115,10 @@ class NnDetector:
         self.quantizer = quantizer
 
     def __call__(self, y: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        return detect_with_nn(self.model, y, self.quantizer).hard
+        y = np.asarray(y, dtype=np.float64)
+        if self.quantizer is not None:
+            y = quantize(y, self.quantizer)
+        return hard_decision(self.model.forward(y))
 
 
 class GenieDetector:

@@ -30,10 +30,6 @@ from .nn.training import TrainConfig, TrainResult, train
 CSV_HEADER = ["ratio", "mu_b", "sigma_b_over_mu1", "noise_model", "detector",
               "r_th", "errors", "bits", "ber", "ci"]
 
-# Reference detector names; the trailing three need trained weight assets.
-ANALYTIC_DETECTORS = ("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full", "optimum-bound")
-ASSET_DETECTORS = ("mlp", "rnn", "dtd-mlp", "dtd-rnn")
-
 
 @dataclass(frozen=True)
 class BerEstimate:
@@ -224,7 +220,7 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
 
 
 def training_curve(kind: str, params: ChannelParams, config: TrainConfig,
-                   csv_path=None, n: int = 71, hidden: int = 71) -> TrainResult:
+                   csv_path=None, n: int = 71, hidden: int | None = None) -> TrainResult:
     """Train a detector and optionally persist its per-epoch validation curve."""
     result = train(kind, params, config, n=n, hidden=hidden)
     if csv_path is not None:

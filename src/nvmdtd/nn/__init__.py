@@ -1,71 +1,17 @@
 """From-scratch trainable detector networks: layers, models, Adam, training, weights IO."""
 
 from .layers import Activation, DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
-from .models import (
-    MlpModel,
-    RnnModel,
-    backward,
-    count_params,
-    forward,
-    mlp_backward,
-    mlp_forward,
-    mse_loss,
-    param_blocks,
-    rnn_backward,
-    rnn_forward,
-    value_and_grad,
-)
+from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model, mse_loss
 from .optim import AdamState, adam_step
 from .training import (
     DESK_TRAIN_BLOCKS,
-    KIND_MLP,
-    KIND_RNN,
     MINIBATCH_BLOCKS,
     PAPER_TRAIN_BLOCKS,
     EpochRecord,
     TrainConfig,
     TrainResult,
-    create_model,
     default_config,
     train,
     validation_ber,
 )
 from .weights_io import load_weights, read_weight_manifest, save_weights
-
-__all__ = [
-    "Activation",
-    "AdamState",
-    "DenseLayer",
-    "DESK_TRAIN_BLOCKS",
-    "EpochRecord",
-    "GruLayer",
-    "KIND_MLP",
-    "KIND_RNN",
-    "MINIBATCH_BLOCKS",
-    "MlpModel",
-    "PAPER_TRAIN_BLOCKS",
-    "RnnModel",
-    "TrainConfig",
-    "TrainResult",
-    "adam_step",
-    "backward",
-    "count_params",
-    "create_model",
-    "default_config",
-    "forward",
-    "load_weights",
-    "mlp_backward",
-    "mlp_forward",
-    "mse_loss",
-    "param_blocks",
-    "read_weight_manifest",
-    "relu",
-    "rnn_backward",
-    "rnn_forward",
-    "save_weights",
-    "sigmoid",
-    "train",
-    "validation_ber",
-    "value_and_grad",
-    "xavier_uniform_init",
-]

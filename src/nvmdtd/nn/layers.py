@@ -14,7 +14,6 @@ from ..errors import ParameterError
 class Activation(Enum):
     RELU = "relu"
     SIGMOID = "sigmoid"
-    IDENTITY = "identity"
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -32,10 +31,17 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Weights i.i.d. uniform on [-L, L] with L = sqrt(6 / (rows + cols))."""
+def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Weights i.i.d. uniform on [-L, L] with L = sqrt(6 / (rows + cols)).
+
+    ``rng`` None gives zeros instead: the shape template a weight file is
+    loaded into.  Their pages stay untouched until written, so a template
+    for an absurd declared size costs no memory before it is rejected.
+    """
     if rows < 1 or cols < 1:
         raise ParameterError(f"matrix dims must be positive, got ({rows}, {cols})")
+    if rng is None:
+        return np.zeros((rows, cols))
     limit = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
 
@@ -43,7 +49,6 @@ def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator) -> np.nd
 _ACTIVATIONS = {
     Activation.RELU: relu,
     Activation.SIGMOID: sigmoid,
-    Activation.IDENTITY: lambda z: z,
 }
 
 
@@ -62,12 +67,10 @@ class DenseLayer:
             raise ParameterError(
                 f"inconsistent dense shapes: weights {self.weights.shape}, bias {self.bias.shape}"
             )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ParameterError("dense layer contains non-finite entries")
 
     @classmethod
     def create(cls, out_dim: int, in_dim: int, activation: Activation,
-               rng: np.random.Generator) -> "DenseLayer":
+               rng: np.random.Generator | None) -> "DenseLayer":
         return cls(
             weights=xavier_uniform_init(out_dim, in_dim, rng),
             bias=np.zeros(out_dim),
@@ -119,7 +122,8 @@ class GruLayer:
                 raise ParameterError(f"gru block {name} has shape {arr.shape}, expected {shape}")
 
     @classmethod
-    def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "GruLayer":
+    def create(cls, input_size: int, hidden_size: int,
+               rng: np.random.Generator | None) -> "GruLayer":
         def w():
             return xavier_uniform_init(hidden_size, input_size, rng)
 

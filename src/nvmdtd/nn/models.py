@@ -10,9 +10,12 @@ estimates in (0, 1):
   step.  One shared bias per gate keeps the stacked model at exactly
   46080 parameters.
 
-Gradients are computed analytically (backpropagation through time for the
-recurrent model) and are averaged over the blocks of a batch; every test
-of them is against central finite differences.
+Both models share one protocol: a ``kind`` name, ``param_blocks()``
+(the named parameter arrays in weight-file order), ``forward(y)`` and
+``value_and_grad(y, target)``.  Gradients are computed analytically
+(backpropagation through time for the recurrent model) and are averaged
+over the blocks of a batch; every test of them is against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -24,11 +27,16 @@ import numpy as np
 from ..errors import ParameterError
 from .layers import Activation, DenseLayer, GruLayer, relu, sigmoid
 
+KIND_MLP = "mlp"
+KIND_RNN = "rnn"
 RNN_HIDDEN_DEFAULT = 71
+
+_GRU_GATES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 
 @dataclass
 class MlpModel:
+    kind = KIND_MLP
     layer1: DenseLayer
     layer2: DenseLayer
 
@@ -47,16 +55,54 @@ class MlpModel:
         return self.layer1.weights.shape[0]
 
     @classmethod
-    def create(cls, n: int, rng: np.random.Generator, hidden: int | None = None) -> "MlpModel":
+    def create(cls, n: int, rng: np.random.Generator | None,
+               hidden: int | None = None) -> "MlpModel":
         hidden = 4 * n if hidden is None else hidden
         return cls(
             layer1=DenseLayer.create(hidden, n, Activation.RELU, rng),
             layer2=DenseLayer.create(n, hidden, Activation.SIGMOID, rng),
         )
 
+    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """Named parameter arrays in canonical (manifest) order; arrays are live views."""
+        return [
+            ("layer1.weights", self.layer1.weights),
+            ("layer1.bias", self.layer1.bias),
+            ("layer2.weights", self.layer2.weights),
+            ("layer2.bias", self.layer2.bias),
+        ]
+
+    def forward(self, y) -> np.ndarray:
+        """Soft estimates for one read vector or a (blocks, N) batch."""
+        yb, was_1d = _as_batch(y, self.n)
+        out = self.layer2.apply(relu(yb @ self.layer1.weights.T + self.layer1.bias))
+        return out[0] if was_1d else out
+
+    def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
+        """Batch-averaged loss and its gradient in one pass."""
+        yb, _ = _as_batch(y, self.n)
+        tb, _ = _as_batch(target, self.n)
+        if yb.shape != tb.shape:
+            raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
+        s1 = yb @ self.layer1.weights.T + self.layer1.bias
+        h = relu(s1)
+        o = sigmoid(h @ self.layer2.weights.T + self.layer2.bias)
+        g_s2 = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
+        g_h = g_s2 @ self.layer2.weights
+        g_s1 = g_h * (s1 > 0)
+        grads = {
+            "layer1.weights": g_s1.T @ yb,
+            "layer1.bias": g_s1.sum(axis=0),
+            "layer2.weights": g_s2.T @ h,
+            "layer2.bias": g_s2.sum(axis=0),
+        }
+        return float(np.mean((tb - o) ** 2)), grads
+
 
 @dataclass
 class RnnModel:
+    kind = KIND_RNN
+    n = None  # the recurrence reads blocks of any length
     gru1: GruLayer
     gru2: GruLayer
     head: DenseLayer
@@ -74,39 +120,75 @@ class RnnModel:
         return self.gru1.hidden_size
 
     @classmethod
-    def create(cls, rng: np.random.Generator, hidden: int = RNN_HIDDEN_DEFAULT) -> "RnnModel":
+    def create(cls, rng: np.random.Generator | None, hidden: int | None = None) -> "RnnModel":
+        hidden = RNN_HIDDEN_DEFAULT if hidden is None else hidden
         return cls(
             gru1=GruLayer.create(1, hidden, rng),
             gru2=GruLayer.create(hidden, hidden, rng),
             head=DenseLayer.create(1, hidden, Activation.SIGMOID, rng),
         )
 
-
-_GRU_GATES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-
-
-def param_blocks(model) -> list[tuple[str, np.ndarray]]:
-    """Named parameter arrays in canonical (manifest) order; arrays are live views."""
-    if isinstance(model, MlpModel):
-        return [
-            ("layer1.weights", model.layer1.weights),
-            ("layer1.bias", model.layer1.bias),
-            ("layer2.weights", model.layer2.weights),
-            ("layer2.bias", model.layer2.bias),
-        ]
-    if isinstance(model, RnnModel):
+    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """Named parameter arrays in canonical (manifest) order; arrays are live views."""
         blocks = []
-        for prefix, layer in (("gru1", model.gru1), ("gru2", model.gru2)):
+        for prefix, layer in (("gru1", self.gru1), ("gru2", self.gru2)):
             for gate in _GRU_GATES:
                 blocks.append((f"{prefix}.{gate}", getattr(layer, gate)))
-        blocks.append(("head.weights", model.head.weights))
-        blocks.append(("head.bias", model.head.bias))
+        blocks.append(("head.weights", self.head.weights))
+        blocks.append(("head.bias", self.head.bias))
         return blocks
-    raise ParameterError(f"unknown model type {type(model).__name__}")
+
+    def forward(self, y) -> np.ndarray:
+        """Soft estimates for one read sequence or a (blocks, N) batch.
+
+        The recurrence is strictly left to right: the estimate at step t never
+        depends on reads after t.
+        """
+        yb, was_1d = _as_batch(y)
+        h1, _ = _gru_layer_forward(self.gru1, yb[:, :, None], want_cache=False)
+        h2, _ = _gru_layer_forward(self.gru2, h1, want_cache=False)
+        out = sigmoid(h2 @ self.head.weights[0] + self.head.bias[0])
+        return out[0] if was_1d else out
+
+    def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
+        """Batch-averaged loss and its gradient in one backpropagation-through-time pass."""
+        yb, _ = _as_batch(y)
+        tb, _ = _as_batch(target)
+        if yb.shape != tb.shape:
+            raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
+        h1, cache1 = _gru_layer_forward(self.gru1, yb[:, :, None], want_cache=True)
+        h2, cache2 = _gru_layer_forward(self.gru2, h1, want_cache=True)
+        w_out = self.head.weights[0]
+        o = sigmoid(h2 @ w_out + self.head.bias[0])
+        g_s = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
+        grads = {
+            "head.weights": np.einsum("bt,bth->h", g_s, h2)[None, :],
+            "head.bias": np.array([g_s.sum()]),
+        }
+        d_h2 = g_s[:, :, None] * w_out
+        g2, d_h1 = _gru_layer_backward(self.gru2, cache2, d_h2)
+        g1, _ = _gru_layer_backward(self.gru1, cache1, d_h1)
+        for gate in _GRU_GATES:
+            grads[f"gru1.{gate}"] = g1[gate]
+            grads[f"gru2.{gate}"] = g2[gate]
+        return float(np.mean((tb - o) ** 2)), grads
+
+
+def create_model(kind: str, n: int, rng: np.random.Generator | None, hidden: int | None = None):
+    """A fresh model of ``kind`` for blocks of ``n`` reads.
+
+    ``hidden`` None takes the kind's default width (4n for the MLP, 71 for
+    the RNN); ``rng`` None gives zero weights (see ``xavier_uniform_init``).
+    """
+    if kind == KIND_MLP:
+        return MlpModel.create(n, rng, hidden)
+    if kind == KIND_RNN:
+        return RnnModel.create(rng, hidden)
+    raise ParameterError(f"unknown model kind {kind!r}")
 
 
 def count_params(model) -> int:
-    return sum(arr.size for _, arr in param_blocks(model))
+    return sum(arr.size for _, arr in model.param_blocks())
 
 
 def mse_loss(soft, target) -> float:
@@ -128,39 +210,6 @@ def _as_batch(y, n_expected: int | None = None) -> tuple[np.ndarray, bool]:
     if n_expected is not None and y.shape[1] != n_expected:
         raise ParameterError(f"model expects length {n_expected}, got {y.shape[1]}")
     return y, was_1d
-
-
-def mlp_forward(model: MlpModel, y) -> np.ndarray:
-    """Soft estimates for one read vector or a (blocks, N) batch."""
-    yb, was_1d = _as_batch(y, model.n)
-    out = model.layer2.apply(relu(yb @ model.layer1.weights.T + model.layer1.bias))
-    return out[0] if was_1d else out
-
-
-def mlp_value_and_grad(model: MlpModel, y, target) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-averaged loss and its gradient in one pass."""
-    yb, _ = _as_batch(y, model.n)
-    tb, _ = _as_batch(target, model.n)
-    if yb.shape != tb.shape:
-        raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
-    s1 = yb @ model.layer1.weights.T + model.layer1.bias
-    h = relu(s1)
-    o = sigmoid(h @ model.layer2.weights.T + model.layer2.bias)
-    g_s2 = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
-    g_h = g_s2 @ model.layer2.weights
-    g_s1 = g_h * (s1 > 0)
-    grads = {
-        "layer1.weights": g_s1.T @ yb,
-        "layer1.bias": g_s1.sum(axis=0),
-        "layer2.weights": g_s2.T @ h,
-        "layer2.bias": g_s2.sum(axis=0),
-    }
-    return float(np.mean((tb - o) ** 2)), grads
-
-
-def mlp_backward(model: MlpModel, y, target) -> dict[str, np.ndarray]:
-    """Gradient of mse_loss(mlp_forward(y), target), averaged over the batch."""
-    return mlp_value_and_grad(model, y, target)[1]
 
 
 def _gru_layer_forward(layer: GruLayer, x_seq: np.ndarray, want_cache: bool):
@@ -246,69 +295,3 @@ def _gru_layer_backward(layer: GruLayer, cache: dict, d_out: np.ndarray):
     }
     d_x = da_z @ layer.w_z + da_r @ layer.w_r + da_c @ layer.w_h
     return grads, d_x
-
-
-def rnn_forward(model: RnnModel, y) -> np.ndarray:
-    """Soft estimates for one read sequence or a (blocks, N) batch.
-
-    The recurrence is strictly left to right: the estimate at step t never
-    depends on reads after t.
-    """
-    yb, was_1d = _as_batch(y)
-    h1, _ = _gru_layer_forward(model.gru1, yb[:, :, None], want_cache=False)
-    h2, _ = _gru_layer_forward(model.gru2, h1, want_cache=False)
-    out = sigmoid(h2 @ model.head.weights[0] + model.head.bias[0])
-    return out[0] if was_1d else out
-
-
-def rnn_value_and_grad(model: RnnModel, y, target) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-averaged loss and its gradient in one backpropagation-through-time pass."""
-    yb, _ = _as_batch(y)
-    tb, _ = _as_batch(target)
-    if yb.shape != tb.shape:
-        raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
-    h1, cache1 = _gru_layer_forward(model.gru1, yb[:, :, None], want_cache=True)
-    h2, cache2 = _gru_layer_forward(model.gru2, h1, want_cache=True)
-    w_out = model.head.weights[0]
-    o = sigmoid(h2 @ w_out + model.head.bias[0])
-    g_s = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
-    grads = {
-        "head.weights": np.einsum("bt,bth->h", g_s, h2)[None, :],
-        "head.bias": np.array([g_s.sum()]),
-    }
-    d_h2 = g_s[:, :, None] * w_out
-    g2, d_h1 = _gru_layer_backward(model.gru2, cache2, d_h2)
-    g1, _ = _gru_layer_backward(model.gru1, cache1, d_h1)
-    for gate in _GRU_GATES:
-        grads[f"gru1.{gate}"] = g1[gate]
-        grads[f"gru2.{gate}"] = g2[gate]
-    return float(np.mean((tb - o) ** 2)), grads
-
-
-def rnn_backward(model: RnnModel, y, target) -> dict[str, np.ndarray]:
-    """Gradient of mse_loss(rnn_forward(y), target), averaged over the batch."""
-    return rnn_value_and_grad(model, y, target)[1]
-
-
-def forward(model, y) -> np.ndarray:
-    if isinstance(model, MlpModel):
-        return mlp_forward(model, y)
-    if isinstance(model, RnnModel):
-        return rnn_forward(model, y)
-    raise ParameterError(f"unknown model type {type(model).__name__}")
-
-
-def backward(model, y, target) -> dict[str, np.ndarray]:
-    if isinstance(model, MlpModel):
-        return mlp_backward(model, y, target)
-    if isinstance(model, RnnModel):
-        return rnn_backward(model, y, target)
-    raise ParameterError(f"unknown model type {type(model).__name__}")
-
-
-def value_and_grad(model, y, target) -> tuple[float, dict[str, np.ndarray]]:
-    if isinstance(model, MlpModel):
-        return mlp_value_and_grad(model, y, target)
-    if isinstance(model, RnnModel):
-        return rnn_value_and_grad(model, y, target)
-    raise ParameterError(f"unknown model type {type(model).__name__}")

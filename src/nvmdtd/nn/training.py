@@ -15,11 +15,8 @@ import numpy as np
 
 from ..channel import ChannelParams, derive_seed, sample_block_matrix
 from ..errors import DivergenceError, ParameterError
-from .models import MlpModel, RnnModel, forward, param_blocks, value_and_grad
+from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, create_model
 from .optim import AdamState, adam_step
-
-KIND_MLP = "mlp"
-KIND_RNN = "rnn"
 
 # Block budgets: full scale matches the published training-sample sizes
 # (bits / N); desk scale is 1/25 of that for workstation runs.
@@ -98,22 +95,14 @@ def validation_ber(model, x_bits: np.ndarray, y_reads: np.ndarray,
     errors = 0
     total = x_bits.size
     for start in range(0, x_bits.shape[0], chunk_blocks):
-        soft = forward(model, y_reads[start:start + chunk_blocks])
+        soft = model.forward(y_reads[start:start + chunk_blocks])
         hard = soft > 0.5
         errors += int(np.count_nonzero(hard != x_bits[start:start + chunk_blocks]))
     return errors / total
 
 
-def create_model(kind: str, n: int, rng: np.random.Generator, hidden: int = 71):
-    if kind == KIND_MLP:
-        return MlpModel.create(n, rng)
-    if kind == KIND_RNN:
-        return RnnModel.create(rng, hidden=hidden)
-    raise ParameterError(f"unknown model kind {kind!r}")
-
-
 def train(kind: str, params: ChannelParams, config: TrainConfig,
-          n: int = 71, hidden: int = 71) -> TrainResult:
+          n: int = 71, hidden: int | None = None) -> TrainResult:
     """Train a fresh model of the given kind on data sampled from ``params``.
 
     Raises :class:`DivergenceError` as soon as a minibatch loss goes
@@ -135,7 +124,7 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
     t_train = x_train.astype(np.float64)
 
     model = create_model(kind, n, init_rng, hidden=hidden)
-    blocks = dict(param_blocks(model))
+    blocks = dict(model.param_blocks())
     state = AdamState.for_params(blocks)
 
     history: list[EpochRecord] = []
@@ -145,7 +134,7 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
         steps = 0
         for start in range(0, config.train_blocks, config.minibatch_blocks):
             idx = order[start:start + config.minibatch_blocks]
-            loss, grads = value_and_grad(model, y_train[idx], t_train[idx])
+            loss, grads = model.value_and_grad(y_train[idx], t_train[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {steps} (kind={kind}, "

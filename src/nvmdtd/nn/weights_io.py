@@ -13,9 +13,11 @@ Layout::
     data
     <concatenated row-major float64 blocks, little-endian, manifest order>
 
-Loading validates the magic line, the model kind, and every block's name
-and shape against the expected architecture before any array is accepted;
-a truncated or padded file raises without producing a partial model.
+Loading builds the model the manifest's ``kind``, ``n`` and ``hidden``
+describe and requires the declared blocks to equal its ``param_blocks()``
+in names, shapes and order before the payload is copied in; a malformed
+manifest, a truncated or padded payload, or a non-finite parameter raises
+:class:`FormatError` without producing a partial model.
 """
 
 from __future__ import annotations
@@ -24,35 +26,32 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
-from .layers import Activation, DenseLayer, GruLayer
-from .models import MlpModel, RnnModel, param_blocks
-from .training import KIND_MLP, KIND_RNN
+from ..errors import FormatError, ParameterError
+from .models import create_model
 
 WEIGHTS_MAGIC = "nvmdtd-weights-v1"
 
 
-def model_kind(model) -> str:
-    if isinstance(model, MlpModel):
-        return KIND_MLP
-    if isinstance(model, RnnModel):
-        return KIND_RNN
-    raise FormatError(f"cannot serialize {type(model).__name__}")
-
-
 def save_weights(model, path, seed: int | None = None, n: int | None = None) -> None:
-    """Write the model to ``path``; ``seed`` and ``n`` are recorded as metadata."""
-    kind = model_kind(model)
+    """Write the model to ``path``; ``seed`` and ``n`` are recorded as metadata.
+
+    ``n`` defaults to the MLP's input width.  It is required for the RNN,
+    whose weights do not fix a block length.
+    """
     if n is None:
-        n = model.n if isinstance(model, MlpModel) else 71
+        n = model.n
+    if n is None:
+        raise ParameterError(f"saving an {model.kind} model needs the block length n")
+    if model.n not in (None, n):
+        raise ParameterError(f"n={n} contradicts the model's input width {model.n}")
     lines = [
         WEIGHTS_MAGIC,
-        f"kind {kind}",
+        f"kind {model.kind}",
         f"n {n}",
         f"hidden {model.hidden_size}",
         f"seed {'none' if seed is None else int(seed)}",
     ]
-    blocks = param_blocks(model)
+    blocks = model.param_blocks()
     for name, arr in blocks:
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"block {name} {dims}")
@@ -62,7 +61,7 @@ def save_weights(model, path, seed: int | None = None, n: int | None = None) -> 
 
 
 def read_weight_manifest(path) -> dict:
-    """Parse just the text manifest of a weight file."""
+    """Parse the text manifest of a weight file; ``payload`` holds the bytes after it."""
     raw = Path(path).read_bytes()
     marker = b"\ndata\n"
     cut = raw.find(marker)
@@ -73,83 +72,49 @@ def read_weight_manifest(path) -> dict:
         raise FormatError(f"{path}: bad or missing magic line")
     meta: dict = {"blocks": []}
     for line in header[1:]:
-        parts = line.split()
-        if parts[0] == "block":
-            meta["blocks"].append((parts[1], tuple(int(d) for d in parts[2:])))
-        elif parts[0] in ("kind", "seed"):
-            meta[parts[0]] = parts[1]
-        elif parts[0] in ("n", "hidden"):
-            meta[parts[0]] = int(parts[1])
-        else:
-            raise FormatError(f"{path}: unrecognized manifest line {line!r}")
+        try:
+            key, *values = line.split()
+            if key == "block":
+                name, *dims = values
+                meta["blocks"].append((name, tuple(int(d) for d in dims)))
+            elif key in ("kind", "seed"):
+                (meta[key],) = values
+            elif key in ("n", "hidden"):
+                (value,) = values
+                meta[key] = int(value)
+            else:
+                raise FormatError(f"{path}: unrecognized manifest line {line!r}")
+        except ValueError:
+            raise FormatError(f"{path}: malformed manifest line {line!r}")
     for key in ("kind", "n", "hidden", "seed"):
         if key not in meta:
             raise FormatError(f"{path}: manifest is missing {key!r}")
-    meta["payload_offset"] = cut + len(marker)
+    meta["payload"] = raw[cut + len(marker):]
     return meta
-
-
-def _expected_blocks(kind: str, n: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
-    if kind == KIND_MLP:
-        return [
-            ("layer1.weights", (hidden, n)),
-            ("layer1.bias", (hidden,)),
-            ("layer2.weights", (n, hidden)),
-            ("layer2.bias", (n,)),
-        ]
-    if kind == KIND_RNN:
-        out = []
-        for prefix, in_dim in (("gru1", 1), ("gru2", hidden)):
-            for gate in ("z", "r", "h"):
-                out.append((f"{prefix}.w_{gate}", (hidden, in_dim)))
-                out.append((f"{prefix}.u_{gate}", (hidden, hidden)))
-                out.append((f"{prefix}.b_{gate}", (hidden,)))
-        out.append(("head.weights", (1, hidden)))
-        out.append(("head.bias", (1,)))
-        return out
-    raise FormatError(f"unknown model kind {kind!r}")
 
 
 def load_weights(path):
     """Reconstruct a model from a weight file; round-trips are bit-exact."""
     meta = read_weight_manifest(path)
     kind, n, hidden = meta["kind"], meta["n"], meta["hidden"]
-    expected = {name: shape for name, shape in _expected_blocks(kind, n, hidden)}
-    declared = dict(meta["blocks"])
-    if set(declared) != set(expected):
-        raise FormatError(f"{path}: block names do not match a {kind} model")
-    raw = Path(path).read_bytes()[meta["payload_offset"]:]
-    arrays: dict[str, np.ndarray] = {}
+    try:
+        # Zero weights: their pages are untouched until the payload is copied in.
+        model = create_model(kind, n, None, hidden)
+    except (ValueError, MemoryError) as exc:
+        raise FormatError(f"{path}: no {kind} model with n {n}, hidden {hidden}: {exc}")
+    blocks = model.param_blocks()
+    if meta["blocks"] != [(name, arr.shape) for name, arr in blocks]:
+        raise FormatError(f"{path}: blocks do not match a {kind} model with n {n}, hidden {hidden}")
+    raw = meta["payload"]
+    nbytes = 8 * sum(arr.size for _, arr in blocks)
+    if len(raw) < nbytes:
+        raise FormatError(f"{path}: truncated payload, {len(raw)} of {nbytes} bytes")
+    if len(raw) > nbytes:
+        raise FormatError(f"{path}: {len(raw) - nbytes} trailing bytes after last block")
     offset = 0
-    for name, shape in meta["blocks"]:
-        if expected[name] != shape:
-            raise FormatError(
-                f"{path}: block {name} has shape {shape}, expected {expected[name]}"
-            )
-        count = int(np.prod(shape))
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated while reading block {name}")
-        arrays[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after last block")
-    if kind == KIND_MLP:
-        return MlpModel(
-            layer1=DenseLayer(arrays["layer1.weights"], arrays["layer1.bias"], Activation.RELU),
-            layer2=DenseLayer(arrays["layer2.weights"], arrays["layer2.bias"], Activation.SIGMOID),
-        )
-    grus = {}
-    for prefix in ("gru1", "gru2"):
-        grus[prefix] = GruLayer(
-            **{f"{p}_{g}": arrays[f"{prefix}.{p}_{g}"] for g in ("z", "r", "h") for p in ("w", "u", "b")}
-        )
-    return RnnModel(
-        gru1=grus["gru1"],
-        gru2=grus["gru2"],
-        head=DenseLayer(arrays["head.weights"], arrays["head.bias"], Activation.SIGMOID),
-    )
+    for name, arr in blocks:
+        arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += 8 * arr.size
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: block {name} has non-finite entries")
+    return model

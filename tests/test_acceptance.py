@@ -19,15 +19,7 @@ from nvmdtd.analytic import (
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.harness import dtd_calibrate, estimate_ber
-from nvmdtd.nn.models import (
-    MlpModel,
-    RnnModel,
-    count_params,
-    forward,
-    mse_loss,
-    param_blocks,
-    value_and_grad,
-)
+from nvmdtd.nn.models import MlpModel, RnnModel, count_params, mse_loss
 from nvmdtd.nn.training import TrainConfig, train
 
 RATIOS = (0.05, 0.08, 0.10, 0.12)
@@ -114,9 +106,9 @@ def test_c3_gaussian_offset_reduction():
 def _fd_entry(model, arr, idx, y, target, step=1e-5):
     orig = arr[idx]
     arr[idx] = orig + step
-    lp = mse_loss(forward(model, y), target)
+    lp = mse_loss(model.forward(y), target)
     arr[idx] = orig - step
-    lm = mse_loss(forward(model, y), target)
+    lm = mse_loss(model.forward(y), target)
     arr[idx] = orig
     return (lp - lm) / (2 * step)
 
@@ -133,8 +125,8 @@ def test_c4_gradient_correctness():
     mlp = MlpModel.create(71, rng)
     y = rng.normal(1.5, 0.2, size=71)
     t = rng.integers(0, 2, 71).astype(float)
-    _, grads = value_and_grad(mlp, y, t)
-    for name, arr in param_blocks(mlp):
+    _, grads = mlp.value_and_grad(y, t)
+    for name, arr in mlp.param_blocks():
         g = grads[name]
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -147,8 +139,8 @@ def test_c4_gradient_correctness():
     rnn = RnnModel.create(rng)
     y = rng.normal(1.5, 0.2, size=8)
     t = rng.integers(0, 2, 8).astype(float)
-    _, grads = value_and_grad(rnn, y, t)
-    for name, arr in param_blocks(rnn):
+    _, grads = rnn.value_and_grad(y, t)
+    for name, arr in rnn.param_blocks():
         g = grads[name]
         if arr.size <= 72:
             picks = np.arange(arr.size)

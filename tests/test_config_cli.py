@@ -91,9 +91,10 @@ class TestResolveConfig:
 def tiny_train_config(tmp_path):
     doc = {
         "seed": 321,
+        "n": 12,
         "channel": {"ratio": 0.05},
         "train": {"kind": "rnn", "epochs": 2, "train_blocks": 100,
-                  "validation_blocks": 50, "n": 12, "hidden": 8},
+                  "validation_blocks": 50, "hidden": 8},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -126,6 +127,14 @@ class TestCliTrain:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "bad.json:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [7.5, 0, "71", True])
+    def test_non_integer_n_exits_2(self, tmp_path, capsys, n):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": n}))
+        rc = main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n must be a positive integer" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -167,7 +176,7 @@ class TestCliAnalytic:
 class TestCliGenEvalDtd:
     def test_gen_dataset_loadable(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"gen": {"blocks": 7, "n": 9}}))
+        cfg.write_text(json.dumps({"n": 9, "gen": {"blocks": 7}}))
         out = tmp_path / "data"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         blocks = load_dataset(out / "dataset.txt")
@@ -176,8 +185,9 @@ class TestCliGenEvalDtd:
     def test_eval_csv(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
+            "n": 16,
             "channel": {"ratio": 0.1},
-            "eval": {"blocks": 300, "detectors": ["midpoint", "opt-full"], "n": 16},
+            "eval": {"blocks": 300, "detectors": ["midpoint", "opt-full"]},
         }))
         out = tmp_path / "ev"
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
@@ -209,8 +219,8 @@ class TestCliSweepSession:
     def test_sweep_with_missing_assets_writes_nan_rows(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
-            "sweep": {"ratios": [0.1], "detectors": ["midpoint", "rnn"],
-                      "blocks": 100, "n": 8},
+            "n": 8,
+            "sweep": {"ratios": [0.1], "detectors": ["midpoint", "rnn"], "blocks": 100},
         }))
         out = tmp_path / "sw"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -222,6 +232,7 @@ class TestCliSweepSession:
     def test_session_single_jump(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
+            "n": 16,
             "session": {
                 "segments": [
                     {"start_block": 0, "channel": {"ratio": 0.1}},
@@ -230,7 +241,6 @@ class TestCliSweepSession:
                 "total_blocks": 1000,
                 "trigger": {"kind": "periodic", "period": 100},
                 "m_blocks": 100,
-                "n": 16,
             },
         }))
         out = tmp_path / "se"
@@ -249,8 +259,9 @@ class TestCliSweepSession:
         assert meta["kind"] == "rnn"
         evcfg = tmp_path / "ev.json"
         evcfg.write_text(json.dumps({
+            "n": 12,
             "channel": {"ratio": 0.05},
-            "eval": {"blocks": 200, "n": 12,
+            "eval": {"blocks": 200,
                      "detectors": ["rnn", "dtd-rnn", "opt-full"],
                      "weights": {"rnn": str(weights)}},
         }))

@@ -7,8 +7,8 @@ from nvmdtd.analytic import optimal_threshold_bisection
 from nvmdtd.channel import QuantizerSpec, sample_block_matrix
 from nvmdtd.detectors import (
     GenieDetector,
+    NnDetector,
     ThresholdDetector,
-    detect_with_nn,
     dtd_search,
     hamming,
     hard_decision,
@@ -166,29 +166,27 @@ class TestDetectWithNn:
     def test_trained_model_recovers_bits(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp
         x, y = sample_block_matrix(params, 8, 50, seed=777)
-        out = detect_with_nn(model, y)
-        assert np.count_nonzero(out.hard != x) == 0
+        assert np.count_nonzero(NnDetector(model)(y) != x) == 0
 
     def test_soft_values_in_unit_interval(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp
         _, y = sample_block_matrix(params, 8, 10, seed=3)
-        out = detect_with_nn(model, y)
-        assert np.all(out.soft > 0) and np.all(out.soft < 1)
+        soft = model.forward(y)
+        assert np.all(soft > 0) and np.all(soft < 1)
 
     def test_deterministic(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp
         _, y = sample_block_matrix(params, 8, 4, seed=9)
-        a = detect_with_nn(model, y)
-        b = detect_with_nn(model, y)
-        np.testing.assert_array_equal(a.soft, b.soft)
-        np.testing.assert_array_equal(a.hard, b.hard)
+        soft = model.forward(y)
+        np.testing.assert_array_equal(soft, model.forward(y))
+        np.testing.assert_array_equal(NnDetector(model)(y), hard_decision(soft))
 
     def test_quantized_path(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp
         x, y = sample_block_matrix(params, 8, 50, seed=11)
-        out = detect_with_nn(model, y, quantizer=QuantizerSpec(4, 0.5, 2.5))
+        out = NnDetector(model, QuantizerSpec(4, 0.5, 2.5))(y)
         # four-bit reads keep the easy channel fully separable
-        assert np.count_nonzero(out.hard != x) == 0
+        assert np.count_nonzero(out != x) == 0
 
 
 class TestBatchDetectors:

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from nvmdtd.errors import ParameterError
-from nvmdtd.nn.models import (
-    MlpModel,
-    RnnModel,
-    backward,
-    forward,
-    mlp_forward,
-    mse_loss,
-    param_blocks,
-    rnn_forward,
-    value_and_grad,
-)
+from nvmdtd.nn.models import MlpModel, RnnModel, mse_loss
 
 GRAD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -21,8 +11,8 @@ GRAD_ATOL = 1e-8
 
 def finite_difference_check(model, y, target, step=GRAD_STEP):
     """Compare analytic gradients against central differences, every scalar."""
-    blocks = dict(param_blocks(model))
-    _, grads = value_and_grad(model, y, target)
+    blocks = dict(model.param_blocks())
+    _, grads = model.value_and_grad(y, target)
     failures = []
     for name, arr in blocks.items():
         g = grads[name]
@@ -31,9 +21,9 @@ def finite_difference_check(model, y, target, step=GRAD_STEP):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + step
-            lp = mse_loss(forward(model, y), target)
+            lp = mse_loss(model.forward(y), target)
             arr[idx] = orig - step
-            lm = mse_loss(forward(model, y), target)
+            lm = mse_loss(model.forward(y), target)
             arr[idx] = orig
             fd = (lp - lm) / (2 * step)
             an = g[idx]
@@ -45,16 +35,16 @@ def finite_difference_check(model, y, target, step=GRAD_STEP):
 class TestForward:
     def test_mlp_zero_weights_output_half(self):
         model = MlpModel.create(6, np.random.default_rng(0))
-        for _, arr in param_blocks(model):
+        for _, arr in model.param_blocks():
             arr[...] = 0.0
-        out = mlp_forward(model, np.linspace(0.5, 2.5, 6))
+        out = model.forward(np.linspace(0.5, 2.5, 6))
         np.testing.assert_allclose(out, 0.5)
 
     def test_rnn_zero_weights_output_half(self):
         model = RnnModel.create(np.random.default_rng(0), hidden=5)
-        for _, arr in param_blocks(model):
+        for _, arr in model.param_blocks():
             arr[...] = 0.0
-        out = rnn_forward(model, np.linspace(0.5, 2.5, 9))
+        out = model.forward(np.linspace(0.5, 2.5, 9))
         np.testing.assert_allclose(out, 0.5)
 
     def test_outputs_in_unit_interval(self):
@@ -63,7 +53,7 @@ class TestForward:
         rnn = RnnModel.create(rng, hidden=8)
         y = rng.uniform(0.0, 10.0, size=(1000, 12))
         for model in (mlp, rnn):
-            out = forward(model, y)
+            out = model.forward(y)
             assert np.all(out > 0.0) and np.all(out < 1.0)
             assert np.all(np.isfinite(out))
 
@@ -73,23 +63,23 @@ class TestForward:
         rnn = RnnModel.create(rng, hidden=6)
         y = 100.0 * rng.uniform(0.5, 2.5, size=(8, 10))
         for model in (mlp, rnn):
-            assert np.all(np.isfinite(forward(model, y)))
+            assert np.all(np.isfinite(model.forward(y)))
 
     def test_rnn_is_causal(self):
         rng = np.random.default_rng(3)
         model = RnnModel.create(rng, hidden=7)
         y = rng.uniform(0.5, 2.5, size=16)
-        base = rnn_forward(model, y)
+        base = model.forward(y)
         perturbed = y.copy()
         perturbed[9:] += rng.uniform(0.5, 1.5, size=7)
-        out = rnn_forward(model, perturbed)
+        out = model.forward(perturbed)
         np.testing.assert_array_equal(out[:9], base[:9])
         assert not np.array_equal(out[9:], base[9:])
 
     def test_mlp_length_mismatch(self):
         model = MlpModel.create(5, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            mlp_forward(model, np.zeros(6))
+            model.forward(np.zeros(6))
 
 
 class TestMseLoss:
@@ -139,8 +129,8 @@ class TestGradients:
         rng = np.random.default_rng(5)
         for model in (MlpModel.create(5, rng), RnnModel.create(rng, hidden=4)):
             y = rng.normal(1.5, 0.4, size=5)
-            target = forward(model, y)
-            grads = backward(model, y, target)
+            target = model.forward(y)
+            grads = model.value_and_grad(y, target)[1]
             for name, g in grads.items():
                 np.testing.assert_allclose(g, 0.0, atol=1e-15, err_msg=name)
 
@@ -149,8 +139,8 @@ class TestGradients:
         model = MlpModel.create(4, rng)
         y = rng.normal(1.5, 0.4, size=(3, 4))
         target = rng.integers(0, 2, (3, 4)).astype(float)
-        batched = backward(model, y, target)
-        singles = [backward(model, y[i], target[i]) for i in range(3)]
+        batched = model.value_and_grad(y, target)[1]
+        singles = [model.value_and_grad(y[i], target[i])[1] for i in range(3)]
         for name in batched:
             mean = sum(s[name] for s in singles) / 3
             np.testing.assert_allclose(batched[name], mean, atol=1e-14)
@@ -158,4 +148,4 @@ class TestGradients:
     def test_shape_mismatch(self):
         model = MlpModel.create(4, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            backward(model, np.zeros((2, 4)), np.zeros((3, 4)))
+            model.value_and_grad(np.zeros((2, 4)), np.zeros((3, 4)))

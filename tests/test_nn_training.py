@@ -4,7 +4,7 @@ import pytest
 from nvmdtd.channel import ChannelParams, derive_seed, sample_block_matrix
 from nvmdtd.errors import DivergenceError, ParameterError
 from nvmdtd.nn import training
-from nvmdtd.nn.models import forward, mse_loss, param_blocks
+from nvmdtd.nn.models import RnnModel, mse_loss
 from nvmdtd.nn.training import TrainConfig, create_model, train, validation_ber
 
 
@@ -37,7 +37,7 @@ class TestTrain:
     def test_same_seed_same_weights(self, offset_channel):
         a = train("rnn", offset_channel, small_config(), n=16, hidden=8)
         b = train("rnn", offset_channel, small_config(), n=16, hidden=8)
-        for (name_a, arr_a), (_, arr_b) in zip(param_blocks(a.model), param_blocks(b.model)):
+        for (name_a, arr_a), (_, arr_b) in zip(a.model.param_blocks(), b.model.param_blocks()):
             np.testing.assert_array_equal(arr_a, arr_b, err_msg=name_a)
         assert a.curve == b.curve
 
@@ -61,15 +61,21 @@ class TestTrain:
         result = train("mlp", params, small_config(minibatch_blocks=4), n=8)
         assert len(result.history) == 2
 
+    def test_hidden_sizes_both_kinds(self):
+        rng = np.random.default_rng(0)
+        assert create_model("mlp", 4, rng).hidden_size == 16
+        assert create_model("mlp", 4, rng, hidden=6).hidden_size == 6
+        assert create_model("rnn", 4, rng).hidden_size == 71
+
     def test_unknown_kind(self, offset_channel):
         with pytest.raises(ParameterError):
             train("lstm", offset_channel, small_config())
 
     def test_divergence_guard(self, offset_channel, monkeypatch):
         def poisoned(model, y, target):
-            return float("nan"), {name: np.zeros_like(a) for name, a in param_blocks(model)}
+            return float("nan"), {name: np.zeros_like(a) for name, a in model.param_blocks()}
 
-        monkeypatch.setattr(training, "value_and_grad", poisoned)
+        monkeypatch.setattr(RnnModel, "value_and_grad", poisoned)
         with pytest.raises(DivergenceError, match="epoch 1"):
             train("rnn", offset_channel, small_config(), n=8, hidden=4)
 
@@ -83,5 +89,5 @@ class TestTrain:
                               validation_blocks=20, seed=77, learning_rate=1e-5)
             result = train("mlp", params, cfg, n=8)
             x, y = sample_block_matrix(params, 8, 100, seed=derive_seed(77, 1))
-            losses.append(mse_loss(forward(result.model, y), x.astype(float)))
+            losses.append(mse_loss(result.model.forward(y), x.astype(float)))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
