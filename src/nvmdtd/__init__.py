@@ -51,6 +51,7 @@ from .harness import (
     TriggerPolicy,
     dtd_calibrate,
     estimate_ber,
+    estimate_ber_paired,
     run_sweep,
     simulate_recalibration_session,
     training_curve,

@@ -15,6 +15,7 @@ over simulated reads stands in for the optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -145,10 +146,21 @@ def _golden_min(f, a: float, c: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + c)
 
 
-def _gh_offsets(params: ChannelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _gh_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights (scaled by 1/sqrt(pi)), built once per node count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     t, w = np.polynomial.hermite.hermgauss(nodes)
-    b = params.offset_mu_b + _SQRT2 * params.offset_sigma_b * t
-    return b, w / math.sqrt(math.pi)
+    w = w / math.sqrt(math.pi)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gh_offsets(params: ChannelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    t, w = _gh_rule(nodes)
+    return params.offset_mu_b + _SQRT2 * params.offset_sigma_b * t, w
 
 
 def ber_variable_offset(

@@ -316,7 +316,10 @@ def load_dataset(path, params: ChannelParams | None = None) -> list[Block]:
     header = lines[0].split()
     if len(header) != 4 or header[0] != DATASET_MAGIC:
         raise FormatError(f"{path}: bad header {lines[0]!r}")
-    n, nblocks = int(header[1]), int(header[2])
+    try:
+        n, nblocks = int(header[1]), int(header[2])
+    except ValueError:
+        raise FormatError(f"{path}: non-integer block length or count in {lines[0]!r}")
     if params is not None and header[3] != params.content_hash():
         raise FormatError(
             f"{path}: dataset was generated under different channel parameters"

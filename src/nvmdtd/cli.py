@@ -21,6 +21,7 @@ from .config import (
     channel_params,
     echo_config,
     load_config,
+    noise_model,
     quantizer_spec,
     resolve_config,
     train_config,
@@ -116,7 +117,7 @@ def _labeler(cfg: dict, section: str, args):
     return NnDetector(model)
 
 
-def _sweep(cfg: dict, section: str, weights: dict, out: Path, **grid) -> list[dict]:
+def _sweep(cfg: dict, section: str, out: Path, **grid) -> list[dict]:
     """Run the detectors of ``cfg[section]`` over ``grid``; writes ``<section>.csv``."""
     sec = cfg[section]
     spec = harness.SweepSpec(
@@ -128,7 +129,7 @@ def _sweep(cfg: dict, section: str, weights: dict, out: Path, **grid) -> list[di
         quantizer=quantizer_spec(sec["quantizer"]),
         **grid,
     )
-    assets = {k: _load_asset(v) for k, v in weights.items() if v is not None}
+    assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
     out.mkdir(parents=True, exist_ok=True)
     rows = harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv",
                              threads=cfg["threads"])
@@ -214,11 +215,11 @@ def cmd_eval(args) -> int:
     cfg = _resolved(args)
     ch = cfg["channel"]
     rows = _sweep(
-        cfg, "eval", cfg["eval"]["weights"], Path(args.out),
+        cfg, "eval", Path(args.out),
         ratios=(ch["ratio"],),
         mu_b_values=(ch["mu_b"],),
         sigma_b_over_mu1=ch["sigma_b_over_mu1"],
-        noise_model=NoiseModel(ch["noise_model"]),
+        noise_model=noise_model(ch["noise_model"]),
     )
     for row in rows:
         print(f"{row['detector']:<16} ber={row['ber']:.6e} ci={row['ci']:.2e}")
@@ -251,18 +252,17 @@ def cmd_dtd(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolved(args)
     sw = cfg["sweep"]
-    weights = dict(sw["weights"])
     if args.weights_mlp:
-        weights["mlp"] = args.weights_mlp
+        sw["weights"]["mlp"] = args.weights_mlp
     if args.weights_rnn:
-        weights["rnn"] = args.weights_rnn
+        sw["weights"]["rnn"] = args.weights_rnn
     out = Path(args.out)
     rows = _sweep(
-        cfg, "sweep", weights, out,
+        cfg, "sweep", out,
         ratios=tuple(sw["ratios"]),
         mu_b_values=tuple(sw["mu_b_values"]),
         sigma_b_over_mu1=sw["sigma_b_over_mu1"],
-        noise_model=NoiseModel(sw["noise_model"]),
+        noise_model=noise_model(sw["noise_model"], "sweep"),
     )
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return EXIT_OK

@@ -95,8 +95,36 @@ def load_config(path) -> dict:
     return doc
 
 
+# Value types of the keys whose default is null (null itself stays allowed).
+_NULLABLE_TYPES = {
+    "minibatch_blocks": int, "train_blocks": int, "hidden": int, "blocks": int,
+    "quantizer": dict, "weights": str, "mlp": str, "rnn": str, "initial_threshold": float,
+}
+# Sizes that nothing downstream range-checks: when set, an integer >= 1.
+_POSITIVE_INTS = {"n", "hidden"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def _check_type(here: str, base, value) -> None:
+    """Reject a value whose JSON type differs from the default's; an int passes for a float."""
+    key = here.rsplit(".", 1)[-1]
+    expected = _NULLABLE_TYPES.get(key) if base is None else type(base)
+    if expected is None or (base is None and value is None):
+        return
+    ok = isinstance(value, (int, float) if expected is float else expected) and (
+        expected is bool or not isinstance(value, bool))
+    if key in _POSITIVE_INTS and not (ok and value >= 1):
+        raise ConfigError(f"{here} must be a positive integer, got {value!r}")
+    if not ok:
+        raise ConfigError(f"{here} must be {_TYPE_NAMES[expected]}, got {value!r}")
+    if expected is list and base:
+        for i, item in enumerate(value):
+            _check_type(f"{here}[{i}]", base[0], item)
+
+
 def _merge(defaults, user, path: str):
-    """Overlay user values on defaults, rejecting unknown keys."""
+    """Overlay user values on defaults, rejecting unknown keys and mistyped values."""
     if not isinstance(user, dict):
         raise ConfigError(f"{path or '<root>'}: expected an object, got {type(user).__name__}")
     out = copy.deepcopy(defaults)
@@ -108,6 +136,7 @@ def _merge(defaults, user, path: str):
         if isinstance(base, dict) and not _is_open_dict(path, key):
             out[key] = _merge(base, value, here)
         else:
+            _check_type(here, base, value)
             out[key] = copy.deepcopy(value)
     return out
 
@@ -126,9 +155,6 @@ def resolve_config(user: dict | None, seed: int | None = None, threads: int | No
     if threads is not None:
         cfg["threads"] = threads
     cfg["paper_scale"] = bool(paper_scale)
-    n = cfg["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
 
     kind = cfg["train"]["kind"]
     if kind not in MINIBATCH_BLOCKS:
@@ -157,20 +183,24 @@ def resolve_config(user: dict | None, seed: int | None = None, threads: int | No
     return cfg
 
 
-def channel_params(section: dict) -> ChannelParams:
-    """Build ChannelParams from a resolved channel section."""
+def noise_model(value: str, where: str = "channel") -> NoiseModel:
+    """The noise model named by a config's ``<where>.noise_model`` string."""
     try:
-        noise = NoiseModel(section["noise_model"])
+        return NoiseModel(value)
     except ValueError:
         raise ConfigError(
-            f"channel.noise_model must be one of "
-            f"{[m.value for m in NoiseModel]}, got {section['noise_model']!r}"
+            f"{where}.noise_model must be one of "
+            f"{[m.value for m in NoiseModel]}, got {value!r}"
         )
+
+
+def channel_params(section: dict) -> ChannelParams:
+    """Build ChannelParams from a resolved channel section."""
     return ChannelParams.from_ratio(
         ratio=section["ratio"],
         mu_b=section["mu_b"],
         sigma_b_over_mu1=section["sigma_b_over_mu1"],
-        noise_model=noise,
+        noise_model=noise_model(section["noise_model"]),
         mu0=section["mu0"],
         mu1=section["mu1"],
     )

@@ -2,8 +2,12 @@
 
 Every estimate here is built from per-block random streams keyed by
 ``(seed, block index)``, so results do not depend on chunking or on the
-number of worker threads.  CSV outputs echo every parameter per row and
-follow the fixed schema::
+number of worker threads.  A sweep makes one Monte-Carlo pass per operating
+point: each chunk of evaluation blocks is sampled once and scored by every
+simulated detector of that point, and the point's DTD rows share one sample
+of calibration blocks, so the rows of a point are a paired comparison on
+the same blocks.  CSV outputs echo every parameter per row and follow the
+fixed schema::
 
     ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci
 
@@ -15,6 +19,7 @@ sweep going.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,22 +63,33 @@ def estimate_ber(detector, params: ChannelParams, nblocks: int, seed: int,
     ``detector`` is called as ``detector(y_chunk, x_chunk)`` on matrices of
     whole blocks and must return hard decisions of the same shape.
     """
+    return estimate_ber_paired([detector], params, nblocks, seed, n, chunk_blocks, threads)[0]
+
+
+def estimate_ber_paired(detectors, params: ChannelParams, nblocks: int, seed: int,
+                        n: int = 71, chunk_blocks: int = 2048,
+                        threads: int = 1) -> list[BerEstimate]:
+    """:func:`estimate_ber` for several detectors in one pass over the blocks.
+
+    Each chunk is sampled once and scored by every detector, so the
+    estimates are paired: all of them count errors on the same bits.
+    """
     if nblocks < 1:
         raise ParameterError(f"need at least one block, got {nblocks}")
     starts = list(range(0, nblocks, chunk_blocks))
 
-    def chunk_errors(start: int) -> int:
+    def chunk_errors(start: int) -> list[int]:
         count = min(chunk_blocks, nblocks - start)
         x, y = sample_block_matrix(params, n, count, seed, start=start)
-        decided = detector(y, x)
-        return int(np.count_nonzero(np.asarray(decided, dtype=np.uint8) != x))
+        return [int(np.count_nonzero(np.asarray(det(y, x), dtype=np.uint8) != x))
+                for det in detectors]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = sum(pool.map(chunk_errors, starts))
+            per_chunk = list(pool.map(chunk_errors, starts))
     else:
-        errors = sum(chunk_errors(s) for s in starts)
-    return BerEstimate.from_counts(errors, nblocks * n)
+        per_chunk = [chunk_errors(s) for s in starts]
+    return [BerEstimate.from_counts(sum(errors), nblocks * n) for errors in zip(*per_chunk)]
 
 
 def dtd_calibrate(detector, params: ChannelParams, m_blocks: int, seed: int,
@@ -136,7 +152,8 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None,
     """One row per (operating point, detector); optionally written as CSV.
 
     ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
-    Missing assets produce NaN rows instead of aborting the sweep.
+    Missing assets produce NaN rows instead of aborting the sweep.  The
+    simulated rows of a point are scored in one pass over the same blocks.
     """
     assets = assets or {}
     rows = []
@@ -157,12 +174,22 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None,
                 "sigma_b_over_mu1": spec.sigma_b_over_mu1,
                 "noise_model": spec.noise_model.value,
             }
+            # Calibration blocks are sampled on first use and shared by the DTD rows.
+            calibration_blocks = functools.cache(functools.partial(
+                sample_block_matrix, params, spec.n, spec.calib_blocks, calib_seed))
+            simulated = []
             for name in spec.detectors:
-                rows.append(
-                    base | _detector_row(
-                        name, params, refs, assets, spec, eval_seed, calib_seed, threads
-                    )
-                )
+                row, det = _detector_row(name, params, refs, assets, spec, calibration_blocks)
+                rows.append(base | row)
+                if det is not None:
+                    simulated.append((rows[-1], det))
+            if simulated:
+                estimates = estimate_ber_paired([det for _, det in simulated], params,
+                                                spec.blocks_per_point, eval_seed, n=spec.n,
+                                                threads=threads)
+                for (row, _), est in zip(simulated, estimates):
+                    row.update(errors=est.errors, bits=est.bits, ber=est.ber,
+                               ci=est.ci_half_width)
             point_idx += 1
     if csv_path is not None:
         write_sweep_csv(csv_path, rows)
@@ -170,8 +197,8 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None,
 
 
 def _detector_row(name: str, params: ChannelParams, refs: dict, assets: dict,
-                  spec: SweepSpec, eval_seed: int, calib_seed: int,
-                  threads: int = 1) -> dict:
+                  spec: SweepSpec, calibration_blocks) -> tuple[dict, object]:
+    """A detector's row and, when the row is simulated, the detector to score."""
     r_th = math.nan
     try:
         if name == "midpoint":
@@ -183,7 +210,7 @@ def _detector_row(name: str, params: ChannelParams, refs: dict, assets: dict,
         elif name == "optimum-bound":
             full = refs["opt-full"]
             return {"detector": name, "r_th": full.r_th, "errors": 0, "bits": 0,
-                    "ber": full.ber, "ci": 0.0}
+                    "ber": full.ber, "ci": 0.0}, None
         elif name == "genie":
             det = GenieDetector()
         elif name in ("mlp", "rnn"):
@@ -191,18 +218,15 @@ def _detector_row(name: str, params: ChannelParams, refs: dict, assets: dict,
         elif name in ("dtd-mlp", "dtd-rnn"):
             kind = name.split("-", 1)[1]
             nn_det = NnDetector(_require_asset(assets, kind), spec.quantizer)
-            calib = dtd_calibrate(nn_det, params, spec.calib_blocks, calib_seed, n=spec.n)
-            r_th = calib.r_adj
+            x, y = calibration_blocks()
+            r_th = dtd_search(y, nn_det(y, x)).r_adj
             det = ThresholdDetector(r_th)
         else:
             raise ParameterError(f"unknown detector {name!r}")
     except MissingAssetError:
         return {"detector": name, "r_th": math.nan, "errors": 0, "bits": 0,
-                "ber": math.nan, "ci": math.nan}
-    est = estimate_ber(det, params, spec.blocks_per_point, eval_seed, n=spec.n,
-                       threads=threads)
-    return {"detector": name, "r_th": r_th, "errors": est.errors, "bits": est.bits,
-            "ber": est.ber, "ci": est.ci_half_width}
+                "ber": math.nan, "ci": math.nan}, None
+    return {"detector": name, "r_th": r_th}, det
 
 
 def _require_asset(assets: dict, kind: str):

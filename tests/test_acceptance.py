@@ -18,7 +18,7 @@ from nvmdtd.analytic import (
 )
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
-from nvmdtd.harness import dtd_calibrate, estimate_ber
+from nvmdtd.harness import dtd_calibrate, estimate_ber, estimate_ber_paired
 from nvmdtd.nn.models import MlpModel, RnnModel, count_params, mse_loss
 from nvmdtd.nn.training import TrainConfig, train
 
@@ -287,8 +287,9 @@ def test_c9_beta_channel_empirical_beats_gaussian_assumption():
         emp = optimal_threshold_empirical(p, 30_000, seed=derive_seed(900, int(ratio * 100)))
         curve2 = optimal_threshold_closed_form(gauss_view, b=p.offset_mu_b)
         eval_seed = derive_seed(901, int(ratio * 100))
-        e_emp = estimate_ber(ThresholdDetector(emp.r_th), p, 30_000, seed=eval_seed)
-        e_gauss = estimate_ber(ThresholdDetector(curve2.r_th), p, 30_000, seed=eval_seed)
+        e_emp, e_gauss = estimate_ber_paired(
+            [ThresholdDetector(emp.r_th), ThresholdDetector(curve2.r_th)], p, 30_000, seed=eval_seed
+        )
         if e_emp.ber > e_gauss.ber:
             failures.append(f"ratio={ratio}: emp={e_emp.ber:.3e} > gauss={e_gauss.ber:.3e}")
     verdict("C9 empirical optimum beats Gaussian-assumption threshold under Beta noise",

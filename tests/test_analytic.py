@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nvmdtd import analytic
+
 from nvmdtd.analytic import (
     Method,
     ber_derivative,
@@ -195,6 +197,23 @@ class TestBisection:
     def test_derivative_root(self, offset_channel):
         opt = optimal_threshold_bisection(offset_channel)
         assert abs(ber_variable_offset_derivative(opt.r_th, offset_channel)) < 1e-9
+
+    def test_cached_rule_is_read_only_and_bit_identical(self, offset_channel, monkeypatch):
+        t, w = analytic._gh_rule(64)
+        assert analytic._gh_rule(64)[0] is t
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        cached = optimal_threshold_bisection(offset_channel)
+
+        def fresh_offsets(params, nodes):
+            t, w = np.polynomial.hermite.hermgauss(nodes)
+            return params.offset_mu_b + math.sqrt(2.0) * params.offset_sigma_b * t, w / math.sqrt(math.pi)
+
+        monkeypatch.setattr(analytic, "_gh_offsets", fresh_offsets)
+        fresh = optimal_threshold_bisection(offset_channel)
+        assert (cached.r_th, cached.ber) == (fresh.r_th, fresh.ber)
 
 
 class TestEmpirical:

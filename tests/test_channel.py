@@ -230,6 +230,13 @@ class TestDatasetIO:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header", ["nvmdtd-v1 x 1 0", "nvmdtd-v1 8 1.5 0"])
+    def test_non_integer_header_count(self, tmp_path, header):
+        path = tmp_path / "data.txt"
+        path.write_text(header + "\n01010101\n" + " ".join(["1.0"] * 8) + "\n")
+        with pytest.raises(FormatError, match="non-integer"):
+            load_dataset(path)
+
 
 class TestBlock:
     def test_length_mismatch(self):

@@ -12,7 +12,7 @@ from nvmdtd.config import (
 )
 from nvmdtd.cli import main
 from nvmdtd.errors import ConfigError
-from nvmdtd.nn.weights_io import read_weight_manifest
+from nvmdtd.nn.weights_io import read_weight_manifest, save_weights
 
 
 class TestResolveConfig:
@@ -143,6 +143,36 @@ class TestCliTrain:
         assert rc == 2
         assert "train.epohcs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("eval", {"channel": {"ratio": "0.05"}}, "channel.ratio"),
+        ("train", {"channel": {"ratio": "0.05"}}, "channel.ratio"),
+        ("train", {"train": {"epochs": 1.5}}, "train.epochs"),
+        ("train", {"train": {"hidden": 7.5}}, "train.hidden"),
+        ("train", {"train": {"hidden": -1}}, "train.hidden"),
+        ("train", {"train": {"epochs": None}}, "train.epochs"),
+        ("sweep", {"sweep": {"ratios": ["0.1"]}}, "sweep.ratios[0]"),
+        ("eval", {"eval": {"detectors": "midpoint"}}, "eval.detectors"),
+        ("session", {"session": {"segments": [{"channel": {"mu_b": "x"}}]}},
+         "session.segments[0].channel.mu_b"),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, command, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"eval": {"blocks": 10}, "sweep": {"blocks": 10}} | doc))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("eval", {"channel": {"noise_model": "cauchy"}}, "channel.noise_model"),
+        ("sweep", {"sweep": {"noise_model": "cauchy"}}, "sweep.noise_model"),
+    ])
+    def test_unknown_noise_model_exits_2(self, tmp_path, capsys, command, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{key} must be one of" in capsys.readouterr().err
+
 
 class TestCliAnalytic:
     def test_reference_threshold_printed(self, capsys):
@@ -228,6 +258,21 @@ class TestCliSweepSession:
         assert len(lines) == 3
         rnn_row = next(l for l in lines if ",rnn," in l)
         assert "nan" in rnn_row
+
+    def test_sweep_echoes_weight_flags(self, tmp_path, trained_tiny_mlp):
+        params, model = trained_tiny_mlp
+        weights = tmp_path / "weights-mlp.nvmw"
+        save_weights(model, weights, seed=1)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "n": 8,
+            "sweep": {"ratios": [0.02], "detectors": ["mlp"], "blocks": 50},
+        }))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--weights-mlp", str(weights)]) == 0
+        echoed = json.loads((out / "config-resolved.json").read_text())
+        assert echoed["sweep"]["weights"] == {"mlp": str(weights), "rnn": None}
 
     def test_session_single_jump(self, tmp_path):
         cfg = tmp_path / "c.json"

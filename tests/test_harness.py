@@ -1,15 +1,17 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
+from nvmdtd import harness
 from nvmdtd.analytic import (
     ber_variable_offset,
     optimal_threshold_bisection,
     optimal_threshold_closed_form,
 )
-from nvmdtd.channel import ChannelParams, NoiseModel
-from nvmdtd.detectors import GenieDetector, ThresholdDetector
+from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
+from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector
 from nvmdtd.errors import ParameterError
 from nvmdtd.harness import (
     CSV_HEADER,
@@ -19,10 +21,12 @@ from nvmdtd.harness import (
     TriggerPolicy,
     dtd_calibrate,
     estimate_ber,
+    estimate_ber_paired,
     run_sweep,
     simulate_recalibration_session,
     training_curve,
 )
+from nvmdtd.nn.models import create_model
 from nvmdtd.nn.training import TrainConfig
 
 
@@ -63,6 +67,15 @@ class TestBerEstimate:
     def test_rejects_zero_blocks(self):
         with pytest.raises(ParameterError):
             estimate_ber(GenieDetector(), ChannelParams.from_ratio(0.05), 0, seed=1)
+
+    def test_paired_pass_invariant_to_chunking_and_threads(self):
+        p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
+        dets = [ThresholdDetector(1.3), ThresholdDetector(1.45), GenieDetector()]
+        runs = [estimate_ber_paired(dets, p, 3000, seed=5, chunk_blocks=chunk, threads=threads)
+                for chunk in (37, 1024) for threads in (1, 3)]
+        assert all(run == runs[0] for run in runs)
+        assert runs[0] == [estimate_ber(det, p, 3000, seed=5) for det in dets]
+        assert runs[0][0].errors != runs[0][1].errors
 
 
 class TestDtdCalibrate:
@@ -159,6 +172,58 @@ class TestRunSweep:
         )
         rows = {row["detector"]: row for row in run_sweep(spec)}
         assert math.isfinite(rows["opt-full"]["ber"])
+
+    def test_rows_equal_standalone_estimates(self, trained_tiny_mlp):
+        _, model = trained_tiny_mlp
+        spec = SweepSpec(
+            ratios=(0.10, 0.12),
+            mu_b_values=(-0.2,),
+            sigma_b_over_mu1=0.04,
+            detectors=("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full",
+                       "optimum-bound", "genie", "mlp", "dtd-mlp"),
+            blocks_per_point=300,
+            seed=29,
+            n=8,
+        )
+        rows = run_sweep(spec, assets={"mlp": model})
+        for point_idx, ratio in enumerate(spec.ratios):
+            p = ChannelParams.from_ratio(ratio, mu_b=-0.2, sigma_b_over_mu1=0.04)
+            eval_seed = derive_seed(derive_seed(spec.seed, point_idx), 0)
+            point = {row["detector"]: row for row in rows if row["ratio"] == ratio}
+            standalone = {"genie": GenieDetector(), "mlp": NnDetector(model)}
+            for name, row in point.items():
+                if name == "optimum-bound":
+                    continue
+                det = standalone.get(name) or ThresholdDetector(row["r_th"])
+                est = estimate_ber(det, p, spec.blocks_per_point, eval_seed, n=spec.n)
+                assert (row["errors"], row["bits"]) == (est.errors, est.bits), name
+
+    def test_one_sampling_pass_per_point(self, monkeypatch):
+        n = 8
+        rng = np.random.default_rng(3)
+        assets = {kind: create_model(kind, n, rng, hidden=4) for kind in ("mlp", "rnn")}
+        spec = SweepSpec(
+            ratios=(0.10,),
+            mu_b_values=(-0.2,),
+            sigma_b_over_mu1=0.04,
+            detectors=("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full",
+                       "dtd-mlp", "dtd-rnn"),
+            blocks_per_point=250,
+            calib_blocks=40,
+            seed=31,
+            n=n,
+        )
+        sampled = []
+        real = harness.sample_block_matrix
+
+        def counting(params, n, nblocks, seed, start=0):
+            sampled.append(nblocks)
+            return real(params, n, nblocks, seed, start=start)
+
+        monkeypatch.setattr(harness, "sample_block_matrix", counting)
+        rows = run_sweep(spec, assets=assets)
+        assert len(rows) == 6 and all(row["bits"] == 250 * n for row in rows)
+        assert sum(sampled) == spec.blocks_per_point + spec.calib_blocks
 
     def test_unknown_detector_rejected(self):
         spec = SweepSpec(ratios=(0.1,), detectors=("nonsense",), blocks_per_point=10, seed=1)
