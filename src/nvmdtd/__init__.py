@@ -18,7 +18,6 @@ from .analytic import (
     q_function,
 )
 from .channel import (
-    Block,
     ChannelParams,
     NoiseModel,
     QuantizerSpec,
@@ -28,9 +27,7 @@ from .channel import (
     derive_seed,
     load_dataset,
     quantize,
-    sample_block,
     sample_block_matrix,
-    sample_noise,
     save_dataset,
 )
 from .detectors import (

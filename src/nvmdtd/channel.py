@@ -5,10 +5,11 @@ Each read adds zero-mean i.i.d. resistance variation, and reads of the
 high state additionally pick up a Gaussian offset that is unknown to the
 detector.  All resistances are in kilo-ohms.
 
-Reproducibility: every block of reads is generated from its own random
-stream derived from ``(master seed, block index)`` via
-:func:`block_stream`, so a dataset is identical whether blocks are
-generated sequentially or split across workers.
+Blocks are produced one way, as a pair of matrices ``(bits, reads)`` with
+one row per block (:func:`sample_block_matrix`), and datasets are written
+and read in that form.  Every row is generated from its own random stream
+derived from ``(master seed, block index)`` via :func:`block_stream`, so a
+dataset is identical whether its rows are sampled at once or in slices.
 """
 
 from __future__ import annotations
@@ -123,9 +124,6 @@ class ChannelParams:
             noise_model=noise_model,
         )
 
-    def sigma_for(self, state: int) -> float:
-        return self.sigma0 if state == 0 else self.sigma1
-
     def content_hash(self) -> str:
         """Stable 16-hex-digit digest of the parameter values."""
         canon = "|".join(
@@ -140,27 +138,6 @@ class ChannelParams:
             ]
         )
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-@dataclass
-class Block:
-    """One codeword-length channel use: stored bits and their readback resistances."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.uint8)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
-            raise ParameterError(
-                f"bits and reads must be 1-D and equal length, got {self.x.shape} vs {self.y.shape}"
-            )
-        if not np.all(np.isfinite(self.y)):
-            raise ParameterError("reads contain non-finite values")
-
-    def __len__(self) -> int:
-        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -202,24 +179,8 @@ def quantize(y, spec: QuantizerSpec):
     return out
 
 
-def sample_noise(params: ChannelParams, state: int, rng: np.random.Generator, size=None):
-    """Draw resistance variation for one state.
-
-    Gaussian mode draws N(0, sigma_state^2).  Centered-Beta mode draws the
-    raw Beta(alpha, 1.2*alpha) law matched to sigma_state and subtracts its
-    analytic mean 1/2.2, which leaves the variance untouched.
-    """
-    if state not in (0, 1):
-        raise ParameterError(f"state must be 0 or 1, got {state}")
-    sigma = params.sigma_for(state)
-    if params.noise_model is NoiseModel.GAUSSIAN:
-        return sigma * rng.standard_normal(size)
-    alpha = beta_alpha_for_sigma(sigma)
-    return rng.beta(alpha, BETA_SHAPE_RATIO * alpha, size) - BETA_MEAN
-
-
 def _sample_raw(params: ChannelParams, n: int, rng: np.random.Generator):
-    """Shared sampling core; draw order (bits, variation, offset) is fixed."""
+    """One block from ``rng``; the draw order (bits, variation, offset) is fixed."""
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     one = x == 1
     if params.noise_model is NoiseModel.GAUSSIAN:
@@ -236,18 +197,6 @@ def _sample_raw(params: ChannelParams, n: int, rng: np.random.Generator):
     offset = params.offset_mu_b + params.offset_sigma_b * z_off
     y = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
     return x, y
-
-
-def sample_block(params: ChannelParams, n: int, rng: np.random.Generator) -> Block:
-    """Sample one block of ``n`` uniform bits and their readback resistances.
-
-    Draw order from ``rng`` is fixed (bits, then variation, then offset
-    normals) so a given stream always yields the same block.
-    """
-    if n < 1:
-        raise ParameterError(f"block length must be >= 1, got {n}")
-    x, y = _sample_raw(params, n, rng)
-    return Block(x=x, y=y)
 
 
 def block_stream(seed: int, index: int) -> np.random.Generator:
@@ -267,6 +216,8 @@ def derive_seed(seed: int, *lane: int) -> int:
     Separate lanes (training data, validation data, evaluation data, ...)
     get unrelated streams without the caller having to manage offsets.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     state = np.random.SeedSequence(seed, spawn_key=tuple(lane)).generate_state(2)
     return int(state[0]) | (int(state[1]) << 32)
 
@@ -276,11 +227,13 @@ def sample_block_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocks ``start .. start+nblocks-1`` as matrices (bits, reads).
 
-    Row ``i`` is exactly ``sample_block(params, n, block_stream(seed, start+i))``,
-    so any contiguous slice of a dataset can be produced independently.
+    Row ``i`` is drawn from ``block_stream(seed, start+i)`` alone, so any
+    contiguous slice of a dataset can be produced independently.
     """
     if n < 1:
         raise ParameterError(f"block length must be >= 1, got {n}")
+    if nblocks < 0:
+        raise ParameterError(f"block count must be >= 0, got {nblocks}")
     x = np.empty((nblocks, n), dtype=np.uint8)
     y = np.empty((nblocks, n), dtype=np.float64)
     for i in range(nblocks):
@@ -288,27 +241,36 @@ def sample_block_matrix(
     return x, y
 
 
-def save_dataset(path, blocks: list[Block], params: ChannelParams) -> None:
-    """Write blocks in the one-line-of-bits / one-line-of-reads text format.
+def save_dataset(path, x, y, params: ChannelParams) -> None:
+    """Write bit and read matrices in the one-line-of-bits / one-line-of-reads format.
 
     Reads are kept to 9 significant digits; the format trades bit-exact
     round-tripping for a diffable file.
     """
-    blocks = list(blocks)
-    if not blocks:
+    x = np.asarray(x, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size == 0:
         raise ParameterError("refusing to write an empty dataset")
-    n = len(blocks[0])
-    lines = [f"{DATASET_MAGIC} {n} {len(blocks)} {params.content_hash()}"]
-    for blk in blocks:
-        if len(blk) != n:
-            raise ParameterError("all blocks in a dataset must share one length")
-        lines.append("".join("1" if b else "0" for b in blk.x))
-        lines.append(" ".join(f"{v:.9g}" for v in blk.y))
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ParameterError(
+            f"bits and reads must be matrices of one shape, got {x.shape} vs {y.shape}"
+        )
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("reads contain non-finite values")
+    nblocks, n = x.shape
+    lines = [f"{DATASET_MAGIC} {n} {nblocks} {params.content_hash()}"]
+    for bits, reads in zip(x, y):
+        lines.append("".join("1" if b else "0" for b in bits))
+        lines.append(" ".join(f"{v:.9g}" for v in reads))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_dataset(path, params: ChannelParams | None = None) -> list[Block]:
-    """Read a dataset file back; verifies the header and, if given, the params hash."""
+def load_dataset(path, params: ChannelParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read a dataset file back as ``(bits, reads)`` matrices.
+
+    A malformed file (a missing or non-finite read included) or a params hash
+    mismatch raises :class:`FormatError`.
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
@@ -328,15 +290,20 @@ def load_dataset(path, params: ChannelParams | None = None) -> list[Block]:
         raise FormatError(
             f"{path}: expected {1 + 2 * nblocks} lines for {nblocks} blocks, got {len(lines)}"
         )
-    out = []
+    x, y = [], []
     for i in range(nblocks):
         bits_line = lines[1 + 2 * i]
-        reads_line = lines[2 + 2 * i]
+        reads = lines[2 + 2 * i].split()
         if len(bits_line) != n or any(c not in "01" for c in bits_line):
             raise FormatError(f"{path}: malformed bits line for block {i}")
-        x = np.frombuffer(bits_line.encode(), dtype=np.uint8) - ord("0")
-        y = np.array([float(tok) for tok in reads_line.split()], dtype=np.float64)
-        if y.size != n:
-            raise FormatError(f"{path}: block {i} has {y.size} reads, expected {n}")
-        out.append(Block(x=x.astype(np.uint8), y=y))
-    return out
+        if len(reads) != n:
+            raise FormatError(f"{path}: block {i} has {len(reads)} reads, expected {n}")
+        try:
+            row = np.array([float(tok) for tok in reads], dtype=np.float64)
+        except ValueError:
+            raise FormatError(f"{path}: non-numeric read in block {i}")
+        if not np.all(np.isfinite(row)):
+            raise FormatError(f"{path}: non-finite read in block {i}")
+        x.append(np.frombuffer(bits_line.encode(), dtype=np.uint8) - ord("0"))
+        y.append(row)
+    return np.array(x, dtype=np.uint8), np.array(y)

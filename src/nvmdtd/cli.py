@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, harness
-from .channel import ChannelParams, NoiseModel, block_stream, derive_seed, sample_block, save_dataset
+from .channel import ChannelParams, NoiseModel, derive_seed, sample_block_matrix, save_dataset
 from .config import (
     channel_params,
     echo_config,
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker threads for Monte-Carlo chunks")
         p.add_argument("--paper-scale", action="store_true",
                        help="use full published data budgets instead of desk scale")
         return p
@@ -87,9 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolved(args) -> dict:
     user = load_config(args.config) if args.config else {}
-    return resolve_config(
-        user, seed=args.seed, threads=args.threads, paper_scale=args.paper_scale
-    )
+    # A config-resolved.json echo names the command that wrote it.
+    command = user.pop("command", args.command)
+    if command != args.command:
+        raise ConfigError(f"config was resolved for command {command!r}, not {args.command!r}")
+    return resolve_config(user, seed=args.seed, paper_scale=args.paper_scale)
 
 
 def _load_asset(path_str: str | None):
@@ -131,8 +132,7 @@ def _sweep(cfg: dict, section: str, out: Path, **grid) -> list[dict]:
     )
     assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
     out.mkdir(parents=True, exist_ok=True)
-    rows = harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv",
-                             threads=cfg["threads"])
+    rows = harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv")
     echo_config(cfg, out, section)
     return rows
 
@@ -141,15 +141,12 @@ def cmd_gen(args) -> int:
     cfg = _resolved(args)
     params = channel_params(cfg["channel"])
     n = cfg["n"]
-    blocks = [
-        sample_block(params, n, block_stream(cfg["seed"], i))
-        for i in range(cfg["gen"]["blocks"])
-    ]
+    x, y = sample_block_matrix(params, n, cfg["gen"]["blocks"], cfg["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(out / "dataset.txt", blocks, params)
+    save_dataset(out / "dataset.txt", x, y, params)
     echo_config(cfg, out, "gen")
-    print(f"wrote {len(blocks)} blocks of {n} bits to {out / 'dataset.txt'}")
+    print(f"wrote {len(x)} blocks of {n} bits to {out / 'dataset.txt'}")
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ _CHANNEL_DEFAULTS = {
 
 DEFAULT_CONFIG = {
     "seed": 12345,
-    "threads": 1,
     "n": 71,
     "channel": dict(_CHANNEL_DEFAULTS),
     "gen": {"blocks": 100},
@@ -146,15 +145,12 @@ def _is_open_dict(path: str, key: str) -> bool:
     return key in ("segments",)
 
 
-def resolve_config(user: dict | None, seed: int | None = None, threads: int | None = None,
+def resolve_config(user: dict | None, seed: int | None = None,
                    paper_scale: bool = False) -> dict:
-    """Apply defaults, CLI overrides, and scale-dependent budgets."""
+    """Apply defaults, CLI overrides, and scale-dependent budgets (written out as numbers)."""
     cfg = _merge(DEFAULT_CONFIG, user or {}, "")
     if seed is not None:
         cfg["seed"] = seed
-    if threads is not None:
-        cfg["threads"] = threads
-    cfg["paper_scale"] = bool(paper_scale)
 
     kind = cfg["train"]["kind"]
     if kind not in MINIBATCH_BLOCKS:

@@ -1,12 +1,12 @@
 """Monte-Carlo BER estimation, figure-style sweeps, and recalibration sessions.
 
-Every estimate here is built from per-block random streams keyed by
-``(seed, block index)``, so results do not depend on chunking or on the
-number of worker threads.  A sweep makes one Monte-Carlo pass per operating
-point: each chunk of evaluation blocks is sampled once and scored by every
-simulated detector of that point, and the point's DTD rows share one sample
-of calibration blocks, so the rows of a point are a paired comparison on
-the same blocks.  CSV outputs echo every parameter per row and follow the
+Every estimate here is one serial pass over chunks of blocks, each block
+drawn from its own random stream keyed by ``(seed, block index)``, so
+results do not depend on the chunk size.  A sweep makes one Monte-Carlo
+pass per operating point: each chunk of evaluation blocks is sampled once
+and scored by every simulated detector of that point, and the point's DTD
+rows share one sample of calibration blocks, so the rows of a point are a
+paired comparison on the same blocks.  CSV outputs echo every parameter per row and follow the
 fixed schema::
 
     ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci
@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,39 +56,32 @@ class BerEstimate:
 
 
 def estimate_ber(detector, params: ChannelParams, nblocks: int, seed: int,
-                 n: int = 71, chunk_blocks: int = 2048, threads: int = 1) -> BerEstimate:
+                 n: int = 71, chunk_blocks: int = 2048) -> BerEstimate:
     """Stream blocks through a detector and count bit errors against the truth.
 
     ``detector`` is called as ``detector(y_chunk, x_chunk)`` on matrices of
     whole blocks and must return hard decisions of the same shape.
     """
-    return estimate_ber_paired([detector], params, nblocks, seed, n, chunk_blocks, threads)[0]
+    return estimate_ber_paired([detector], params, nblocks, seed, n, chunk_blocks)[0]
 
 
 def estimate_ber_paired(detectors, params: ChannelParams, nblocks: int, seed: int,
-                        n: int = 71, chunk_blocks: int = 2048,
-                        threads: int = 1) -> list[BerEstimate]:
+                        n: int = 71, chunk_blocks: int = 2048) -> list[BerEstimate]:
     """:func:`estimate_ber` for several detectors in one pass over the blocks.
 
     Each chunk is sampled once and scored by every detector, so the
     estimates are paired: all of them count errors on the same bits.
+    ``chunk_blocks`` bounds the memory of a pass and does not change the counts.
     """
     if nblocks < 1:
         raise ParameterError(f"need at least one block, got {nblocks}")
-    starts = list(range(0, nblocks, chunk_blocks))
-
-    def chunk_errors(start: int) -> list[int]:
-        count = min(chunk_blocks, nblocks - start)
-        x, y = sample_block_matrix(params, n, count, seed, start=start)
-        return [int(np.count_nonzero(np.asarray(det(y, x), dtype=np.uint8) != x))
-                for det in detectors]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(chunk_errors, starts))
-    else:
-        per_chunk = [chunk_errors(s) for s in starts]
-    return [BerEstimate.from_counts(sum(errors), nblocks * n) for errors in zip(*per_chunk)]
+    errors = [0] * len(detectors)
+    for start in range(0, nblocks, chunk_blocks):
+        x, y = sample_block_matrix(params, n, min(chunk_blocks, nblocks - start), seed,
+                                   start=start)
+        for k, det in enumerate(detectors):
+            errors[k] += int(np.count_nonzero(np.asarray(det(y, x), dtype=np.uint8) != x))
+    return [BerEstimate.from_counts(e, nblocks * n) for e in errors]
 
 
 def dtd_calibrate(detector, params: ChannelParams, m_blocks: int, seed: int,
@@ -147,8 +139,7 @@ def _reference_thresholds(params: ChannelParams, point_seed: int, nblocks: int, 
     return {"opt-no-offset": no_offset, "opt-mean-offset": mean_offset, "opt-full": full}
 
 
-def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None,
-              threads: int = 1) -> list[dict]:
+def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> list[dict]:
     """One row per (operating point, detector); optionally written as CSV.
 
     ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
@@ -185,8 +176,7 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None,
                     simulated.append((rows[-1], det))
             if simulated:
                 estimates = estimate_ber_paired([det for _, det in simulated], params,
-                                                spec.blocks_per_point, eval_seed, n=spec.n,
-                                                threads=threads)
+                                                spec.blocks_per_point, eval_seed, n=spec.n)
                 for (row, _), est in zip(simulated, estimates):
                     row.update(errors=est.errors, bits=est.bits, ber=est.ber,
                                ci=est.ci_half_width)

@@ -8,18 +8,14 @@ from hypothesis import strategies as st
 from nvmdtd.channel import (
     BETA_SHAPE_RATIO,
     BETA_VARIANCE_SUP,
-    Block,
     ChannelParams,
     NoiseModel,
     QuantizerSpec,
     beta_alpha_for_sigma,
-    block_stream,
     derive_sigmas,
     load_dataset,
     quantize,
-    sample_block,
     sample_block_matrix,
-    sample_noise,
     save_dataset,
 )
 from nvmdtd.errors import FormatError, ParameterError
@@ -79,38 +75,41 @@ class TestChannelParams:
         assert a.content_hash() == ChannelParams.from_ratio(0.05).content_hash()
 
 
+def state0_noise(noise_model: NoiseModel, seed: int) -> np.ndarray:
+    """Variation of the sampler's state-0 reads: over 1M draws from 29k blocks."""
+    p = ChannelParams.from_ratio(0.05, noise_model=noise_model)
+    x, y = sample_block_matrix(p, 71, 29_000, seed)
+    draws = y[x == 0] - p.mu0
+    assert draws.size >= 1_000_000
+    return draws
+
+
+@pytest.fixture(scope="module")
+def beta_state0_noise() -> np.ndarray:
+    return state0_noise(NoiseModel.CENTERED_BETA, seed=2)
+
+
 class TestSampleNoise:
     def test_gaussian_mean_near_zero(self):
-        rng = np.random.default_rng(1)
-        p = ChannelParams.from_ratio(0.05)
-        draws = sample_noise(p, 0, rng, size=1_000_000)
-        assert abs(draws.mean()) < 4 * 0.05 / 1000
+        draws = state0_noise(NoiseModel.GAUSSIAN, seed=1)
+        assert abs(draws.mean()) < 4 * 0.05 / math.sqrt(draws.size)
 
-    def test_beta_variance_matches(self):
-        rng = np.random.default_rng(2)
-        p = ChannelParams.from_ratio(0.05, noise_model=NoiseModel.CENTERED_BETA)
-        draws = sample_noise(p, 0, rng, size=1_000_000)
+    def test_beta_variance_matches(self, beta_state0_noise):
+        draws = beta_state0_noise
         assert draws.var() == pytest.approx(0.05 ** 2, rel=0.02)
-        assert abs(draws.mean()) < 5 * 0.05 / 1000
+        assert abs(draws.mean()) < 5 * 0.05 / math.sqrt(draws.size)
 
-    def test_beta_is_skewed(self):
-        rng = np.random.default_rng(3)
-        p = ChannelParams.from_ratio(0.05, noise_model=NoiseModel.CENTERED_BETA)
-        draws = sample_noise(p, 0, rng, size=1_000_000)
+    def test_beta_is_skewed(self, beta_state0_noise):
+        draws = beta_state0_noise
         skew = np.mean(((draws - draws.mean()) / draws.std()) ** 3)
         assert abs(skew) > 0.01
-
-    def test_bad_state(self):
-        with pytest.raises(ParameterError):
-            sample_noise(ChannelParams.from_ratio(0.05), 2, np.random.default_rng(0))
 
 
 class TestSampleBlock:
     def test_noise_free_limit(self):
         p = ChannelParams(1.0, 2.0, 1e-9, 2e-9)
-        blk = sample_block(p, 500, np.random.default_rng(7))
-        expect = np.where(blk.x == 1, 2.0, 1.0)
-        np.testing.assert_allclose(blk.y, expect, atol=1e-7)
+        x, y = sample_block_matrix(p, 500, 1, seed=7)
+        np.testing.assert_allclose(y, np.where(x == 1, 2.0, 1.0), atol=1e-7)
 
     def test_pure_mean_offset(self):
         p = ChannelParams(1.0, 2.0, 0.05, 0.10, offset_mu_b=-0.2, offset_sigma_b=0.0)
@@ -131,20 +130,20 @@ class TestSampleBlock:
         assert abs(ones.var() - var1) < 5 * var1 * math.sqrt(2 / ones.size)
 
     def test_determinism(self, offset_channel):
-        a = sample_block(offset_channel, 71, block_stream(99, 5))
-        b = sample_block(offset_channel, 71, block_stream(99, 5))
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
+        xa, ya = sample_block_matrix(offset_channel, 71, 1, seed=99, start=5)
+        xb, yb = sample_block_matrix(offset_channel, 71, 1, seed=99, start=5)
+        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(ya, yb)
 
     def test_matrix_rows_match_single_blocks(self, offset_channel):
         x, y = sample_block_matrix(offset_channel, 31, 6, seed=42, start=3)
         for i in range(6):
-            blk = sample_block(offset_channel, 31, block_stream(42, 3 + i))
-            np.testing.assert_array_equal(x[i], blk.x)
-            np.testing.assert_array_equal(y[i], blk.y)
+            xi, yi = sample_block_matrix(offset_channel, 31, 1, seed=42, start=3 + i)
+            np.testing.assert_array_equal(x[i], xi[0])
+            np.testing.assert_array_equal(y[i], yi[0])
 
     def test_split_generation_equals_sequential(self, offset_channel):
-        """Chunked generation across workers reproduces the sequential dataset."""
+        """Generation in slices reproduces the one-pass dataset."""
         x_all, y_all = sample_block_matrix(offset_channel, 16, 10, seed=5)
         x_a, y_a = sample_block_matrix(offset_channel, 16, 4, seed=5, start=0)
         x_b, y_b = sample_block_matrix(offset_channel, 16, 6, seed=5, start=4)
@@ -154,8 +153,8 @@ class TestSampleBlock:
     def test_beta_block_smoke(self):
         p = ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.07,
                                      noise_model=NoiseModel.CENTERED_BETA)
-        blk = sample_block(p, 71, block_stream(0, 0))
-        assert np.all(np.isfinite(blk.y))
+        _, y = sample_block_matrix(p, 71, 1, seed=0)
+        assert np.all(np.isfinite(y))
 
 
 class TestQuantizer:
@@ -194,19 +193,17 @@ class TestQuantizer:
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, offset_channel):
-        blocks = [sample_block(offset_channel, 16, block_stream(1, i)) for i in range(5)]
+        x, y = sample_block_matrix(offset_channel, 16, 5, seed=1)
         path = tmp_path / "data.txt"
-        save_dataset(path, blocks, offset_channel)
-        loaded = load_dataset(path, offset_channel)
-        assert len(loaded) == 5
-        for orig, back in zip(blocks, loaded):
-            np.testing.assert_array_equal(orig.x, back.x)
-            np.testing.assert_allclose(orig.y, back.y, rtol=1e-8)
+        save_dataset(path, x, y, offset_channel)
+        x_back, y_back = load_dataset(path, offset_channel)
+        assert x_back.dtype == np.uint8 and x_back.shape == (5, 16)
+        np.testing.assert_array_equal(x, x_back)
+        np.testing.assert_allclose(y, y_back, rtol=1e-8)
 
     def test_header_format(self, tmp_path, offset_channel):
-        blocks = [sample_block(offset_channel, 8, block_stream(1, 0))]
         path = tmp_path / "data.txt"
-        save_dataset(path, blocks, offset_channel)
+        save_dataset(path, *sample_block_matrix(offset_channel, 8, 1, seed=1), offset_channel)
         header = path.read_text().splitlines()[0].split()
         assert header[0] == "nvmdtd-v1"
         assert header[1] == "8"
@@ -214,17 +211,15 @@ class TestDatasetIO:
         assert header[3] == offset_channel.content_hash()
 
     def test_params_mismatch_detected(self, tmp_path, offset_channel):
-        blocks = [sample_block(offset_channel, 8, block_stream(1, 0))]
         path = tmp_path / "data.txt"
-        save_dataset(path, blocks, offset_channel)
+        save_dataset(path, *sample_block_matrix(offset_channel, 8, 1, seed=1), offset_channel)
         other = ChannelParams.from_ratio(0.10)
         with pytest.raises(FormatError, match="different channel"):
             load_dataset(path, other)
 
     def test_truncated_file(self, tmp_path, offset_channel):
-        blocks = [sample_block(offset_channel, 8, block_stream(1, i)) for i in range(3)]
         path = tmp_path / "data.txt"
-        save_dataset(path, blocks, offset_channel)
+        save_dataset(path, *sample_block_matrix(offset_channel, 8, 3, seed=1), offset_channel)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FormatError):
@@ -237,12 +232,25 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="non-integer"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("read", ["inf", "nan", "1.0x"])
+    def test_load_rejects_bad_read(self, tmp_path, read):
+        path = tmp_path / "data.txt"
+        path.write_text(f"nvmdtd-v1 2 1 0\n01\n1.0 {read}\n")
+        with pytest.raises(FormatError, match="read in block 0"):
+            load_dataset(path)
 
-class TestBlock:
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            Block(x=np.zeros(3, dtype=np.uint8), y=np.zeros(4))
+    def test_save_rejects_shape_mismatch(self, tmp_path, offset_channel):
+        path = tmp_path / "data.txt"
+        with pytest.raises(ParameterError, match="one shape"):
+            save_dataset(path, np.zeros((1, 3)), np.ones((1, 4)), offset_channel)
+        with pytest.raises(ParameterError, match="one shape"):
+            save_dataset(path, np.zeros(3), np.ones(3), offset_channel)
+        with pytest.raises(ParameterError, match="empty"):
+            save_dataset(path, np.zeros((0, 3)), np.ones((0, 3)), offset_channel)
+        assert not path.exists()
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ParameterError):
-            Block(x=np.zeros(2, dtype=np.uint8), y=np.array([1.0, np.inf]))
+    def test_save_rejects_non_finite(self, tmp_path, offset_channel):
+        path = tmp_path / "data.txt"
+        with pytest.raises(ParameterError, match="non-finite"):
+            save_dataset(path, np.zeros((1, 2)), np.array([[1.0, np.inf]]), offset_channel)
+        assert not path.exists()

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,14 +33,15 @@ class TestResolveConfig:
             resolve_config({"typo": 1})
 
     def test_cli_overrides(self):
-        cfg = resolve_config({}, seed=7, threads=4)
-        assert cfg["seed"] == 7 and cfg["threads"] == 4
+        cfg = resolve_config({}, seed=7)
+        assert cfg["seed"] == 7
 
     def test_paper_scale_budgets(self):
         cfg = resolve_config({"train": {"kind": "mlp"}}, paper_scale=True)
         assert cfg["train"]["train_blocks"] == 1_000_000
         assert cfg["train"]["minibatch_blocks"] == 4
         assert cfg["eval"]["blocks"] == 1_000_000
+        assert "paper_scale" not in cfg
 
     def test_explicit_values_win_over_scale(self):
         cfg = resolve_config({"train": {"train_blocks": 123}}, paper_scale=True)
@@ -85,6 +88,13 @@ class TestResolveConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    def test_readme_config_example_resolves(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        block = re.sub(r"/\*.*?\*/", "", block, flags=re.S)
+        block = re.sub(r"//[^\n]*", "", block)
+        resolve_config(json.loads(block))
 
 
 @pytest.fixture()
@@ -162,6 +172,48 @@ class TestCliTrain:
         assert rc == 2
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    def test_threads_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--threads", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"threads": 1}')
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["dtd", "--genie"], {"seed": -1}),
+        (["session", "--genie"], {"seed": -1}),
+        (["eval"], {"seed": -1}),
+        (["dtd", "--genie"], {"dtd": {"blocks": -5}}),
+        (["gen"], {"gen": {"blocks": -5}}),
+    ])
+    def test_negative_seed_or_block_count_exits_2(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("gen", {"n": 9, "seed": 3, "gen": {"blocks": 20}}),
+        ("eval", {"n": 16, "channel": {"ratio": 0.1},
+                  "eval": {"blocks": 200, "detectors": ["midpoint", "opt-full"]}}),
+        ("train", {"seed": 321, "n": 12, "train": {"kind": "rnn", "epochs": 2, "train_blocks": 100,
+                                                   "validation_blocks": 50, "hidden": 8}}),
+    ])
+    def test_rerun_from_echo_is_byte_identical(self, tmp_path, command, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, "--config", str(cfg), "--out", str(first)]) == 0
+        echo = first / "config-resolved.json"
+        assert main([command, "--config", str(echo), "--out", str(second)]) == 0
+        files = sorted(p.name for p in first.iterdir())
+        assert files == sorted(p.name for p in second.iterdir())
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        # The echo names its command; another command refuses it.
+        assert main(["dtd", "--genie", "--config", str(echo), "--out", str(tmp_path / "x")]) == 2
+
     @pytest.mark.parametrize("command, doc, key", [
         ("eval", {"channel": {"noise_model": "cauchy"}}, "channel.noise_model"),
         ("sweep", {"sweep": {"noise_model": "cauchy"}}, "sweep.noise_model"),
@@ -209,8 +261,8 @@ class TestCliGenEvalDtd:
         cfg.write_text(json.dumps({"n": 9, "gen": {"blocks": 7}}))
         out = tmp_path / "data"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
-        blocks = load_dataset(out / "dataset.txt")
-        assert len(blocks) == 7 and len(blocks[0]) == 9
+        x, y = load_dataset(out / "dataset.txt")
+        assert x.shape == y.shape == (7, 9)
 
     def test_eval_csv(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -56,23 +56,23 @@ class TestBerEstimate:
         sigma = math.sqrt(expected * (1 - expected) / est.bits)
         assert abs(est.ber - expected) <= 3 * sigma
 
-    def test_invariant_to_chunking_and_threads(self):
+    def test_invariant_to_chunking(self):
         p = ChannelParams.from_ratio(0.10)
         det = ThresholdDetector(1.35)
         a = estimate_ber(det, p, 3000, seed=5, chunk_blocks=37)
         b = estimate_ber(det, p, 3000, seed=5, chunk_blocks=1024)
-        c = estimate_ber(det, p, 3000, seed=5, chunk_blocks=256, threads=3)
+        c = estimate_ber(det, p, 3000, seed=5, chunk_blocks=256)
         assert a == b == c
 
     def test_rejects_zero_blocks(self):
         with pytest.raises(ParameterError):
             estimate_ber(GenieDetector(), ChannelParams.from_ratio(0.05), 0, seed=1)
 
-    def test_paired_pass_invariant_to_chunking_and_threads(self):
+    def test_paired_pass_invariant_to_chunking(self):
         p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
         dets = [ThresholdDetector(1.3), ThresholdDetector(1.45), GenieDetector()]
-        runs = [estimate_ber_paired(dets, p, 3000, seed=5, chunk_blocks=chunk, threads=threads)
-                for chunk in (37, 1024) for threads in (1, 3)]
+        runs = [estimate_ber_paired(dets, p, 3000, seed=5, chunk_blocks=chunk)
+                for chunk in (37, 1024, 5000)]
         assert all(run == runs[0] for run in runs)
         assert runs[0] == [estimate_ber(det, p, 3000, seed=5) for det in dets]
         assert runs[0][0].errors != runs[0][1].errors
