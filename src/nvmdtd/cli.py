@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import analytic, harness
-from .channel import ChannelParams, NoiseModel, derive_seed, sample_block_matrix, save_dataset
+from .channel import NoiseModel, derive_seed, sample_block_matrix, save_dataset
 from .config import (
     channel_params,
     echo_config,
@@ -180,13 +181,10 @@ def cmd_analytic(args) -> int:
     cfg["channel"] = ch
     params = channel_params(ch)
     if args.sigma0 is not None or args.sigma1 is not None:
-        params = ChannelParams(
-            mu0=params.mu0,
-            mu1=params.mu1,
+        params = dataclasses.replace(
+            params,
             sigma0=args.sigma0 if args.sigma0 is not None else params.sigma0,
             sigma1=args.sigma1 if args.sigma1 is not None else params.sigma1,
-            offset_mu_b=params.offset_mu_b,
-            offset_sigma_b=params.offset_sigma_b,
         )
     no_offset = analytic.optimal_threshold_closed_form(params, b=0.0)
     mean_offset = analytic.optimal_threshold_closed_form(params, b=params.offset_mu_b)

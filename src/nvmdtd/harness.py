@@ -6,8 +6,10 @@ results do not depend on the chunk size.  A sweep makes one Monte-Carlo
 pass per operating point: each chunk of evaluation blocks is sampled once
 and scored by every simulated detector of that point, and the point's DTD
 rows share one sample of calibration blocks, so the rows of a point are a
-paired comparison on the same blocks.  CSV outputs echo every parameter per row and follow the
-fixed schema::
+paired comparison on the same blocks.  A recalibration session samples
+its whole schedule once, one matrix per segment, and labels each
+recalibration window with one call of the network.  CSV outputs echo
+every parameter per row and follow the fixed schema::
 
     ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci
 
@@ -286,13 +288,6 @@ class DriftSchedule:
         if self.total_blocks <= starts[-1]:
             raise ParameterError("total_blocks must exceed the last segment start")
 
-    def params_at(self, block_index: int) -> tuple[int, ChannelParams]:
-        current = 0
-        for seg_idx, (start, _) in enumerate(self.segments):
-            if block_index >= start:
-                current = seg_idx
-        return current, self.segments[current][1]
-
 
 @dataclass
 class SegmentStats:
@@ -349,31 +344,43 @@ def simulate_recalibration_session(
     Blocks stream one at a time under the scheduled channel; each is
     detected with the current threshold.  When the trigger policy fires,
     the next ``m_blocks`` blocks are read by ``detector`` (the expensive
-    path), the dynamic threshold search runs over those reads and labels,
-    and the resulting threshold replaces the current one.  The log records
-    per-segment BER before/after recalibration and how many blocks ever
-    touched the network.
+    path) in one call, the dynamic threshold search runs over those reads
+    and labels, and the resulting threshold replaces the current one.  The
+    log records per-segment BER before/after recalibration and how many
+    blocks ever touched the network.
+
+    The whole schedule is sampled up front, one matrix per segment, so the
+    session holds ``total_blocks * n * 9`` bytes (reads and bits; 1.3 MB at
+    2000 blocks of 71).  Block ``i`` is the one a block-by-block replay
+    draws, since every block has its own ``(seed, i)`` stream.
     """
+    if m_blocks < 1:
+        raise ParameterError(f"session m_blocks must be >= 1, got {m_blocks}")
+    bounds = [s for s, _ in schedule.segments] + [schedule.total_blocks]
+    samples = [sample_block_matrix(params, n, end - start, seed, start=start)
+               for (start, params), end in zip(schedule.segments, bounds[1:])]
+    x = np.concatenate([xs for xs, _ in samples])
+    y = np.concatenate([ys for _, ys in samples])
+    seg_of = np.repeat(np.arange(len(samples)), np.diff(bounds))
+
     first_params = schedule.segments[0][1]
     r_th = (
         0.5 * (first_params.mu0 + first_params.mu1)
         if initial_threshold is None
         else initial_threshold
     )
-    stats = [SegmentStats(index=i, start_block=s) for i, (s, _) in enumerate(schedule.segments)]
+    stats = [SegmentStats(index=i, start_block=s) for i, s in enumerate(bounds[:-1])]
     log = SessionLog(segments=stats, thresholds=[(0, r_th)])
     recalibrated_in = [False] * len(stats)
     since_recal = 0
 
     i = 0
     while i < schedule.total_blocks:
-        seg_idx, params = schedule.params_at(i)
+        seg_idx = seg_of[i]
         seg = stats[seg_idx]
-        x, y = sample_block_matrix(params, n, 1, seed, start=i)
+        block_errors = int(np.count_nonzero(threshold_detect(y[i], r_th) != x[i]))
         i += 1
         since_recal += 1
-        decided = threshold_detect(y[0], r_th)
-        block_errors = int(np.count_nonzero(decided != x[0]))
         if recalibrated_in[seg_idx]:
             seg.errors_post += block_errors
             seg.bits_post += n
@@ -388,23 +395,16 @@ def simulate_recalibration_session(
         )
         if not fire:
             continue
-        take = min(m_blocks, schedule.total_blocks - i)
-        if take == 0:
+        window = slice(i, min(i + m_blocks, schedule.total_blocks))
+        if window.start == window.stop:
             break
         seg.triggers += 1
-        reads = []
-        labels = []
-        for j in range(take):
-            seg_j, params_j = schedule.params_at(i)
-            xj, yj = sample_block_matrix(params_j, n, 1, seed, start=i)
-            i += 1
-            stats[seg_j].nn_blocks += 1
-            reads.append(yj[0])
-            labels.append(np.asarray(detector(yj, xj)[0], dtype=np.uint8))
-        result = dtd_search(np.array(reads), np.array(labels))
-        r_th = result.r_adj
-        recal_seg, _ = schedule.params_at(i - 1)
-        recalibrated_in[recal_seg] = True
+        for seg_j, count in zip(*np.unique(seg_of[window], return_counts=True)):
+            stats[seg_j].nn_blocks += int(count)
+        labels = np.asarray(detector(y[window], x[window]), dtype=np.uint8)
+        r_th = dtd_search(y[window], labels).r_adj
+        i = window.stop
+        recalibrated_in[seg_of[i - 1]] = True
         log.thresholds.append((i, r_th))
         since_recal = 0
 

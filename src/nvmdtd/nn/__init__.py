@@ -1,6 +1,6 @@
 """From-scratch trainable detector networks: layers, models, Adam, training, weights IO."""
 
-from .layers import Activation, DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
+from .layers import DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
 from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model, mse_loss
 from .optim import AdamState, adam_step
 from .training import (
@@ -10,7 +10,6 @@ from .training import (
     EpochRecord,
     TrainConfig,
     TrainResult,
-    default_config,
     train,
     validation_ber,
 )

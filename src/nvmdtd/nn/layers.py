@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ..errors import ParameterError
-
-
-class Activation(Enum):
-    RELU = "relu"
-    SIGMOID = "sigmoid"
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -46,19 +40,15 @@ def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator | None) -
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-_ACTIVATIONS = {
-    Activation.RELU: relu,
-    Activation.SIGMOID: sigmoid,
-}
-
-
 @dataclass
 class DenseLayer:
-    """Fully connected layer; weights are (out, in), bias (out,)."""
+    """Fully connected layer; weights are (out, in), bias (out,).
+
+    The layer holds parameters only; each model applies its own activations.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: Activation
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -69,21 +59,8 @@ class DenseLayer:
             )
 
     @classmethod
-    def create(cls, out_dim: int, in_dim: int, activation: Activation,
-               rng: np.random.Generator | None) -> "DenseLayer":
-        return cls(
-            weights=xavier_uniform_init(out_dim, in_dim, rng),
-            bias=np.zeros(out_dim),
-            activation=activation,
-        )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """x of shape (..., in) -> (..., out)."""
-        return _ACTIVATIONS[self.activation](x @ self.weights.T + self.bias)
-
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.bias.size
+    def create(cls, out_dim: int, in_dim: int, rng: np.random.Generator | None) -> "DenseLayer":
+        return cls(weights=xavier_uniform_init(out_dim, in_dim, rng), bias=np.zeros(out_dim))
 
 
 @dataclass
@@ -147,8 +124,3 @@ class GruLayer:
     @property
     def input_size(self) -> int:
         return self.w_z.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        h, i = self.hidden_size, self.input_size
-        return 3 * (i * h + h * h + h)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .layers import Activation, DenseLayer, GruLayer, relu, sigmoid
+from .layers import DenseLayer, GruLayer, relu, sigmoid
 
 KIND_MLP = "mlp"
 KIND_RNN = "rnn"
@@ -59,8 +59,8 @@ class MlpModel:
                hidden: int | None = None) -> "MlpModel":
         hidden = 4 * n if hidden is None else hidden
         return cls(
-            layer1=DenseLayer.create(hidden, n, Activation.RELU, rng),
-            layer2=DenseLayer.create(n, hidden, Activation.SIGMOID, rng),
+            layer1=DenseLayer.create(hidden, n, rng),
+            layer2=DenseLayer.create(n, hidden, rng),
         )
 
     def param_blocks(self) -> list[tuple[str, np.ndarray]]:
@@ -75,7 +75,8 @@ class MlpModel:
     def forward(self, y) -> np.ndarray:
         """Soft estimates for one read vector or a (blocks, N) batch."""
         yb, was_1d = _as_batch(y, self.n)
-        out = self.layer2.apply(relu(yb @ self.layer1.weights.T + self.layer1.bias))
+        h = relu(yb @ self.layer1.weights.T + self.layer1.bias)
+        out = sigmoid(h @ self.layer2.weights.T + self.layer2.bias)
         return out[0] if was_1d else out
 
     def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
@@ -125,7 +126,7 @@ class RnnModel:
         return cls(
             gru1=GruLayer.create(1, hidden, rng),
             gru2=GruLayer.create(hidden, hidden, rng),
-            head=DenseLayer.create(1, hidden, Activation.SIGMOID, rng),
+            head=DenseLayer.create(1, hidden, rng),
         )
 
     def param_blocks(self) -> list[tuple[str, np.ndarray]]:

@@ -55,23 +55,6 @@ class TrainConfig:
             raise ParameterError("seed must be non-negative")
 
 
-def default_config(kind: str, seed: int, epochs: int = 15,
-                   paper_scale: bool = False, **overrides) -> TrainConfig:
-    """Desk-scale (default) or full-scale config with per-kind budgets."""
-    if kind not in (KIND_MLP, KIND_RNN):
-        raise ParameterError(f"unknown model kind {kind!r}")
-    budgets = PAPER_TRAIN_BLOCKS if paper_scale else DESK_TRAIN_BLOCKS
-    base = dict(
-        epochs=epochs,
-        minibatch_blocks=MINIBATCH_BLOCKS[kind],
-        train_blocks=budgets[kind],
-        validation_blocks=max(200, budgets[kind] // 40),
-        seed=seed,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int

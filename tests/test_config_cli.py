@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nvmdtd import harness
 from nvmdtd.channel import NoiseModel, load_dataset
 from nvmdtd.config import (
     channel_params,
@@ -199,6 +200,11 @@ class TestCliTrain:
                   "eval": {"blocks": 200, "detectors": ["midpoint", "opt-full"]}}),
         ("train", {"seed": 321, "n": 12, "train": {"kind": "rnn", "epochs": 2, "train_blocks": 100,
                                                    "validation_blocks": 50, "hidden": 8}}),
+        ("session", {"n": 16, "session": {
+            "genie": True, "total_blocks": 300, "m_blocks": 30,
+            "segments": [{"start_block": 0, "channel": {"ratio": 0.1}},
+                         {"start_block": 120, "channel": {"ratio": 0.1, "mu_b": -0.3}}],
+            "trigger": {"kind": "periodic", "period": 50}}}),
     ])
     def test_rerun_from_echo_is_byte_identical(self, tmp_path, command, doc):
         cfg = tmp_path / "c.json"
@@ -253,6 +259,13 @@ class TestCliAnalytic:
     def test_invalid_params_exit_2(self, capsys):
         rc = main(["analytic", "--ratio", "-0.05"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--sigma0", "0.08"]])
+    def test_sigma_override_keeps_noise_model(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channel": {"noise_model": "centered-beta"}}))
+        assert main(["analytic", "--config", str(cfg)] + flags) == 2
+        assert "Gaussian" in capsys.readouterr().err
 
 
 class TestCliGenEvalDtd:
@@ -347,6 +360,20 @@ class TestCliSweepSession:
         assert len(rows) == 3
         summary = json.loads((out / "session.json").read_text())
         assert summary["triggers_total"] >= 1
+
+    @pytest.mark.parametrize("m_blocks", [0, -3])
+    def test_session_needs_calibration_blocks(self, tmp_path, capsys, monkeypatch, m_blocks):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before checking m_blocks")
+
+        monkeypatch.setattr(harness, "sample_block_matrix", never)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"session": {
+            "m_blocks": m_blocks, "total_blocks": 300,
+            "trigger": {"kind": "periodic", "period": 100}}}))
+        rc = main(["session", "--genie", "--config", str(cfg), "--out", str(tmp_path / "se")])
+        assert rc == 2
+        assert "m_blocks" in capsys.readouterr().err
 
     def test_train_then_eval_with_weights(self, tmp_path, tiny_train_config):
         out = tmp_path / "tr"

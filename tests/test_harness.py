@@ -10,13 +10,15 @@ from nvmdtd.analytic import (
     optimal_threshold_bisection,
     optimal_threshold_closed_form,
 )
-from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
-from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector
+from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed, sample_block_matrix
+from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.errors import ParameterError
 from nvmdtd.harness import (
     CSV_HEADER,
     BerEstimate,
     DriftSchedule,
+    SegmentStats,
+    SessionLog,
     SweepSpec,
     TriggerPolicy,
     dtd_calibrate,
@@ -255,18 +257,110 @@ class TestTrainingCurve:
         assert a.curve == b.curve
 
 
+def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=None, n=71):
+    """The recalibration loop drawn and labeled one block at a time.
+
+    The rewritten session must log exactly what this plain loop logs.
+    """
+
+    def params_at(block_index):
+        current = 0
+        for seg_idx, (start, _) in enumerate(schedule.segments):
+            if block_index >= start:
+                current = seg_idx
+        return current, schedule.segments[current][1]
+
+    first_params = schedule.segments[0][1]
+    r_th = (
+        0.5 * (first_params.mu0 + first_params.mu1)
+        if initial_threshold is None
+        else initial_threshold
+    )
+    stats = [SegmentStats(index=i, start_block=s) for i, (s, _) in enumerate(schedule.segments)]
+    log = SessionLog(segments=stats, thresholds=[(0, r_th)])
+    recalibrated_in = [False] * len(stats)
+    since_recal = 0
+
+    i = 0
+    while i < schedule.total_blocks:
+        seg_idx, params = params_at(i)
+        seg = stats[seg_idx]
+        x, y = sample_block_matrix(params, n, 1, seed, start=i)
+        i += 1
+        since_recal += 1
+        decided = threshold_detect(y[0], r_th)
+        block_errors = int(np.count_nonzero(decided != x[0]))
+        if recalibrated_in[seg_idx]:
+            seg.errors_post += block_errors
+            seg.bits_post += n
+        else:
+            seg.errors_pre += block_errors
+            seg.bits_pre += n
+
+        fire = (
+            since_recal >= schedule.trigger.period
+            if schedule.trigger.kind == "periodic"
+            else block_errors / n >= schedule.trigger.threshold
+        )
+        if not fire:
+            continue
+        take = min(m_blocks, schedule.total_blocks - i)
+        if take == 0:
+            break
+        seg.triggers += 1
+        reads = []
+        labels = []
+        for j in range(take):
+            seg_j, params_j = params_at(i)
+            xj, yj = sample_block_matrix(params_j, n, 1, seed, start=i)
+            i += 1
+            stats[seg_j].nn_blocks += 1
+            reads.append(yj[0])
+            labels.append(np.asarray(detector(yj, xj)[0], dtype=np.uint8))
+        result = dtd_search(np.array(reads), np.array(labels))
+        r_th = result.r_adj
+        recal_seg, _ = params_at(i - 1)
+        recalibrated_in[recal_seg] = True
+        log.thresholds.append((i, r_th))
+        since_recal = 0
+
+    log.final_threshold = r_th
+    return log
+
+
+class RecordingGenie(GenieDetector):
+    """Genie labels that keep every batch they were asked to label."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, y, x=None):
+        self.calls.append((np.array(y), np.array(x)))
+        return super().__call__(y, x)
+
+
+_P0 = ChannelParams.from_ratio(0.10)
+_P_DRIFT = ChannelParams.from_ratio(0.10, mu_b=-0.35, sigma_b_over_mu1=0.04)
+
+
 class TestSchedule:
     def test_segment_lookup(self):
-        p0 = ChannelParams.from_ratio(0.05)
-        p1 = ChannelParams.from_ratio(0.10)
+        # Blocks 90..109 form one recalibration window across the boundary
+        # at 100: each half is drawn under its own segment's channel.
         sched = DriftSchedule(
-            segments=((0, p0), (100, p1)),
-            total_blocks=200,
-            trigger=TriggerPolicy(kind="periodic", period=10),
+            segments=((0, _P0), (100, _P_DRIFT)),
+            total_blocks=115,
+            trigger=TriggerPolicy(kind="periodic", period=90),
         )
-        assert sched.params_at(0) == (0, p0)
-        assert sched.params_at(99) == (0, p0)
-        assert sched.params_at(100) == (1, p1)
+        det = RecordingGenie()
+        log = simulate_recalibration_session(sched, det, seed=8, m_blocks=20, n=12)
+        assert len(det.calls) == 1
+        y, x = det.calls[0]
+        x0, y0 = sample_block_matrix(_P0, 12, 10, 8, start=90)
+        x1, y1 = sample_block_matrix(_P_DRIFT, 12, 10, 8, start=100)
+        np.testing.assert_array_equal(y, np.concatenate([y0, y1]))
+        np.testing.assert_array_equal(x, np.concatenate([x0, x1]))
+        assert [seg.nn_blocks for seg in log.segments] == [10, 10]
 
     def test_validation(self):
         p = ChannelParams.from_ratio(0.05)
@@ -283,6 +377,27 @@ class TestSchedule:
 
 
 class TestSession:
+    @pytest.mark.parametrize("segments, total, trigger, m_blocks", [
+        # a periodic window straddles the segment boundary at 100
+        (((0, _P0), (100, _P_DRIFT)), 400, TriggerPolicy(kind="periodic", period=90), 20),
+        # on-failure triggers under an offset drift
+        (((0, _P0), (300, _P_DRIFT)), 900,
+         TriggerPolicy(kind="on_failure", threshold=3.0 / 71.0), 150),
+        # the trigger fires on the last block and is not counted
+        (((0, _P0),), 25, TriggerPolicy(kind="periodic", period=10), 5),
+        # the session ends inside the second recalibration window
+        (((0, _P0), (15, _P_DRIFT)), 28, TriggerPolicy(kind="periodic", period=10), 5),
+    ])
+    def test_matches_block_by_block_loop(self, segments, total, trigger, m_blocks):
+        sched = DriftSchedule(segments=segments, total_blocks=total, trigger=trigger)
+        det = RecordingGenie()
+        log = simulate_recalibration_session(sched, det, seed=17, m_blocks=m_blocks, n=16)
+        assert log == reference_session(sched, GenieDetector(), 17, m_blocks, n=16)
+        assert log.triggers_total >= 1
+        # one network call per recalibration, never one per block
+        assert len(det.calls) == log.triggers_total == len(log.thresholds) - 1
+        assert sum(len(y) for y, _ in det.calls) == log.nn_blocks_total
+
     def test_offset_jump_recovers_optimum(self):
         # Segment boundary aligned to full trigger cycles (300 threshold
         # blocks + 500 calibration blocks), so the second segment starts

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvmdtd.errors import ParameterError
-from nvmdtd.nn.layers import Activation, DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
+from nvmdtd.nn.layers import DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
 from nvmdtd.nn.models import MlpModel, RnnModel, count_params
 
 
@@ -49,7 +49,7 @@ class TestXavier:
 class TestShapes:
     def test_dense_shape_validation(self):
         with pytest.raises(ParameterError):
-            DenseLayer(weights=np.ones((3, 2)), bias=np.zeros(2), activation=Activation.RELU)
+            DenseLayer(weights=np.ones((3, 2)), bias=np.zeros(2))
 
     def test_gru_shape_validation(self):
         rng = np.random.default_rng(0)
@@ -62,8 +62,9 @@ class TestShapes:
             )
 
     def test_gru_param_count_formula(self):
-        layer = GruLayer.create(3, 5, np.random.default_rng(0))
-        assert layer.n_params == 3 * (3 * 5 + 5 * 5 + 5)
+        model = RnnModel.create(np.random.default_rng(0), hidden=5)
+        gru = lambda i, h: 3 * (i * h + h * h + h)
+        assert count_params(model) == gru(1, 5) + gru(5, 5) + 5 + 1
 
 
 class TestParamCounts:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nvmdtd.channel import ChannelParams, derive_seed, sample_block_matrix
+from nvmdtd.config import resolve_config, train_config
 from nvmdtd.errors import DivergenceError, ParameterError
 from nvmdtd.nn import training
 from nvmdtd.nn.models import RnnModel, mse_loss
@@ -25,10 +26,10 @@ class TestTrainConfig:
             small_config(adam_beta1=1.0)
 
     def test_default_budgets(self):
-        desk = training.default_config("rnn", seed=1)
-        assert desk.train_blocks == training.DESK_TRAIN_BLOCKS["rnn"]
+        desk = train_config(resolve_config({"train": {"kind": "rnn"}}))
+        assert desk.train_blocks == training.DESK_TRAIN_BLOCKS["rnn"] == 1600
         assert desk.minibatch_blocks == 2
-        full = training.default_config("mlp", seed=1, paper_scale=True)
+        full = train_config(resolve_config({"train": {"kind": "mlp"}}, paper_scale=True))
         assert full.train_blocks == training.PAPER_TRAIN_BLOCKS["mlp"]
         assert full.minibatch_blocks == 4
 
