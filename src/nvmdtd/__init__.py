@@ -16,6 +16,7 @@ from .analytic import (
     optimal_threshold_closed_form,
     optimal_threshold_empirical,
     q_function,
+    reference_thresholds,
 )
 from .channel import (
     ChannelParams,
@@ -36,7 +37,6 @@ from .detectors import (
     NnDetector,
     ThresholdDetector,
     dtd_search,
-    hamming,
     hard_decision,
     threshold_detect,
 )

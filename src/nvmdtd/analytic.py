@@ -1,30 +1,36 @@
-"""Closed-form and numerical reference detectors for the Gaussian read channel.
+"""Exact reference detectors for both read-channel noise models.
 
-For equiprobable bits and Gaussian variation, the threshold detector's
-bit error rate at threshold ``r`` with a fixed high-state offset ``b`` is
+For equiprobable bits, the threshold detector's bit error rate at
+threshold ``r`` is
 
-    P(r, b) = 1/2 * (1 + Q((r - mu0)/sigma0) - Q((r - mu1 - b)/sigma1))
+    P(r) = 1/2 * (P(state-0 read >= r) + E_b P(state-1 read < r | offset b))
 
-where Q is the standard normal tail.  Setting the derivative to zero gives
-a quadratic in ``r`` whose minus branch is the minimizing threshold; when
-the offset itself is random the expectation over it has no closed form and
-the minimizer is found by bisecting the derivative computed with
-Gauss-Hermite quadrature.  For non-Gaussian channels an empirical search
-over simulated reads stands in for the optimum.
+where ``b`` is the high-state offset.  Each state's read law is its
+nominal resistance plus the channel's variation law: Gaussian tails
+``Q((r - mu0)/sigma0)`` and ``1 - Q((r - mu1 - b)/sigma1)``, or, under
+centered-Beta variation, the regularized incomplete Beta functions of the
+two Beta(alpha, 1.2*alpha) draws.  The expectation over a random offset
+is taken by Gauss-Hermite quadrature (a fixed offset is a one-node rule),
+and the minimizing threshold is found by bisecting the derivative.  For
+Gaussian variation and a fixed offset, setting the derivative to zero
+gives a quadratic in ``r`` whose minus branch is the closed-form optimum.
+An empirical search over simulated reads stays available as an
+independent check of both.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import betainc, betaln, erfc
 
 from . import detectors
-from .channel import ChannelParams, NoiseModel, sample_block_matrix
+from .channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel,
+                      beta_alpha_for_sigma, sample_block_matrix)
 from .errors import NoRootError, ParameterError, UnsupportedModelError
 
 GH_NODES_DEFAULT = 64
@@ -65,38 +71,26 @@ def _require_gaussian(params: ChannelParams) -> None:
 
 
 def ber_fixed_offset(r_th: float, params: ChannelParams, b: float) -> float:
-    """Threshold-detector BER when every high-state read is offset by exactly ``b``.
-
-    Evaluates (1 + Q(u0) - Q(u1)) / 2 in the complement form
-    (Q(u0) + Q(-u1)) / 2, which keeps full relative precision when both
-    tails are tiny.
-    """
-    _require_gaussian(params)
-    q0 = q_function((r_th - params.mu0) / params.sigma0)
-    q1c = q_function(-(r_th - params.mu1 - b) / params.sigma1)
-    return float(0.5 * (q0 + q1c))
+    """Threshold-detector BER when every high-state read is offset by exactly ``b``."""
+    return ber_variable_offset(r_th, replace(params, offset_mu_b=b, offset_sigma_b=0.0))
 
 
 def ber_derivative(r_th: float, params: ChannelParams, b: float) -> float:
     """d/dr of :func:`ber_fixed_offset`; zero at the optimum threshold."""
-    _require_gaussian(params)
-    u0 = (r_th - params.mu0) / params.sigma0
-    u1 = (r_th - params.mu1 - b) / params.sigma1
-    phi0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI
-    phi1 = math.exp(-0.5 * u1 * u1) / _SQRT2PI
-    return -phi0 / (2.0 * params.sigma0) + phi1 / (2.0 * params.sigma1)
+    return ber_variable_offset_derivative(r_th, replace(params, offset_mu_b=b, offset_sigma_b=0.0))
 
 
 def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> ThresholdResult:
-    """BER-minimizing threshold for a fixed offset ``b``, in closed form.
+    """BER-minimizing threshold for Gaussian variation and a fixed offset ``b``.
 
     The general branch solves the stationarity quadratic with mu1 shifted
     by ``b``; equal variances degenerate to the midpoint (mu0 + mu1 + b)/2.
-    A local-minimality probe guards the corner cases where the closed-form
-    branch is not the minimizer and falls back to a grid-plus-golden-section
-    refinement of the same objective.
+    A local-minimality probe guards the corner cases where the quadratic
+    loses precision (variances equal to within about 1e-11) and falls back to
+    bisecting the derivative of the same objective.
     """
     _require_gaussian(params)
+    fixed = replace(params, offset_mu_b=b, offset_sigma_b=0.0)
     mu0, mu1 = params.mu0, params.mu1 + b
     s0, s1 = params.sigma0, params.sigma1
     if abs(s0 - s1) < 1e-12 * s0:
@@ -105,45 +99,17 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
         d0, d1 = s0 * s0, s1 * s1
         disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
         r = (mu1 * d0 - mu0 * d1 - s0 * s1 * math.sqrt(disc)) / (d0 - d1)
-        if not _is_local_min(r, params, b):
-            r = _refine_by_search(params, b)
-    return ThresholdResult(r_th=r, ber=ber_fixed_offset(r, params, b), method=Method.CLOSED_FORM)
+        if not _is_local_min(r, fixed):
+            r = optimal_threshold_bisection(fixed).r_th
+    return ThresholdResult(r_th=r, ber=ber_variable_offset(r, fixed), method=Method.CLOSED_FORM)
 
 
-def _is_local_min(r: float, params: ChannelParams, b: float, h: float = 1e-4) -> bool:
-    here = ber_fixed_offset(r, params, b)
+def _is_local_min(r: float, params: ChannelParams, h: float = 1e-4) -> bool:
+    here = ber_variable_offset(r, params)
     return (
-        ber_fixed_offset(r - h, params, b) >= here - 1e-15
-        and ber_fixed_offset(r + h, params, b) >= here - 1e-15
+        ber_variable_offset(r - h, params) >= here - 1e-15
+        and ber_variable_offset(r + h, params) >= here - 1e-15
     )
-
-
-def _refine_by_search(params: ChannelParams, b: float) -> float:
-    lo = min(params.mu0, params.mu1 + b) - 4.0 * params.sigma0
-    hi = max(params.mu0, params.mu1 + b) + 4.0 * params.sigma1
-    grid = np.linspace(lo, hi, 4001)
-    vals = [ber_fixed_offset(float(g), params, b) for g in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(0, k - 1)]
-    c = grid[min(len(grid) - 1, k + 1)]
-    return _golden_min(lambda r: ber_fixed_offset(r, params, b), float(a), float(c))
-
-
-def _golden_min(f, a: float, c: float, tol: float = 1e-10) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = c - invphi * (c - a)
-    x2 = a + invphi * (c - a)
-    f1, f2 = f(x1), f(x2)
-    while c - a > tol:
-        if f1 < f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - invphi * (c - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (c - a)
-            f2 = f(x2)
-    return 0.5 * (a + c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,52 +125,75 @@ def _gh_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gh_offsets(params: ChannelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offset nodes and weights; a fixed offset is the one node ``(mu_b, 1.0)``."""
+    if params.offset_sigma_b == 0.0:
+        return np.array([params.offset_mu_b]), np.ones(1)
     t, w = _gh_rule(nodes)
     return params.offset_mu_b + _SQRT2 * params.offset_sigma_b * t, w
+
+
+def _beta_draw(excess):
+    """The raw Beta draw, clipped to [0, 1], that puts a read ``excess`` above its nominal value."""
+    return np.clip(excess + BETA_MEAN, 0.0, 1.0)
+
+
+def _beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Beta(a, b) density, 0 outside (0, 1)."""
+    inside = (x > 0.0) & (x < 1.0)
+    xi = np.where(inside, x, 0.5)
+    log_pdf = (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - betaln(a, b)
+    return np.where(inside, np.exp(log_pdf), 0.0)
 
 
 def ber_variable_offset(
     r_th: float, params: ChannelParams, nodes: int = GH_NODES_DEFAULT
 ) -> float:
-    """Threshold-detector BER averaged over the Gaussian offset distribution.
+    """Threshold-detector BER under the channel's variation law, averaged over the offset.
 
-    The expectation of the high-state tail term is taken by Gauss-Hermite
-    quadrature, exact for the Gaussian offset up to quadrature truncation.
+    The state-1 term is averaged over the Gaussian offset by Gauss-Hermite
+    quadrature, exact up to quadrature truncation.  Gaussian tails are
+    evaluated in the complement form (Q(u0) + Q(-u1)) / 2, which keeps full
+    relative precision when both tails are tiny.
     """
-    _require_gaussian(params)
-    if params.offset_sigma_b == 0.0:
-        return ber_fixed_offset(r_th, params, params.offset_mu_b)
     b, w = _gh_offsets(params, nodes)
-    q0 = q_function((r_th - params.mu0) / params.sigma0)
-    e_q1c = float(np.dot(w, q_function(-(r_th - params.mu1 - b) / params.sigma1)))
-    return float(0.5 * (q0 + e_q1c))
+    if params.noise_model is NoiseModel.GAUSSIAN:
+        p0 = q_function((r_th - params.mu0) / params.sigma0)
+        p1 = q_function(-(r_th - params.mu1 - b) / params.sigma1)
+    else:
+        a0, a1 = beta_alpha_for_sigma(params.sigma0), beta_alpha_for_sigma(params.sigma1)
+        p0 = betainc(BETA_SHAPE_RATIO * a0, a0, 1.0 - _beta_draw(r_th - params.mu0))
+        p1 = betainc(a1, BETA_SHAPE_RATIO * a1, _beta_draw(r_th - params.mu1 - b))
+    return float(0.5 * (p0 + float(np.dot(w, p1))))
 
 
 def ber_variable_offset_derivative(
     r_th: float, params: ChannelParams, nodes: int = GH_NODES_DEFAULT
 ) -> float:
-    """d/dr of :func:`ber_variable_offset`, by the same quadrature."""
-    _require_gaussian(params)
-    if params.offset_sigma_b == 0.0:
-        return ber_derivative(r_th, params, params.offset_mu_b)
+    """d/dr of :func:`ber_variable_offset`: half the difference of the two read densities."""
     b, w = _gh_offsets(params, nodes)
-    u0 = (r_th - params.mu0) / params.sigma0
-    phi0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI
-    u1 = (r_th - params.mu1 - b) / params.sigma1
-    e_phi1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI))
-    return -phi0 / (2.0 * params.sigma0) + e_phi1 / (2.0 * params.sigma1)
+    if params.noise_model is NoiseModel.GAUSSIAN:
+        u0 = (r_th - params.mu0) / params.sigma0
+        f0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI / params.sigma0
+        u1 = (r_th - params.mu1 - b) / params.sigma1
+        e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
+    else:
+        a0, a1 = beta_alpha_for_sigma(params.sigma0), beta_alpha_for_sigma(params.sigma1)
+        f0 = float(_beta_pdf(_beta_draw(r_th - params.mu0), a0, BETA_SHAPE_RATIO * a0))
+        e_f1 = float(np.dot(w, _beta_pdf(_beta_draw(r_th - params.mu1 - b),
+                                         a1, BETA_SHAPE_RATIO * a1)))
+    return 0.5 * (e_f1 - f0)
 
 
 def optimal_threshold_bisection(
     params: ChannelParams, nodes: int = GH_NODES_DEFAULT
 ) -> ThresholdResult:
-    """Optimum threshold under the random offset, by bisecting the BER derivative.
+    """Optimum threshold under the channel law, by bisecting the BER derivative.
 
     Starts from the bracket [mu0, mu1 + max(0, offset mean)] and widens it
     in 0.1 kOhm steps until the derivative changes sign, then bisects down
-    to a 1e-9 kOhm interval.
+    to a 1e-9 kOhm interval.  Works for both noise models and for fixed
+    (sigma_b = 0) as well as random offsets.
     """
-    _require_gaussian(params)
     lo = params.mu0
     hi = params.mu1 + max(0.0, params.offset_mu_b)
     f = lambda r: ber_variable_offset_derivative(r, params, nodes)
@@ -236,10 +225,26 @@ def optimal_threshold_bisection(
     )
 
 
+def reference_thresholds(params: ChannelParams) -> dict[str, ThresholdResult]:
+    """The three reference thresholds of an operating point, by detector row name.
+
+    ``opt-no-offset`` ignores the offset and ``opt-mean-offset`` knows only
+    its mean; both are the Gaussian closed form, so under centered-Beta
+    variation they are the thresholds a Gaussian-assuming design would
+    pick.  ``opt-full`` is the exact optimum under the complete channel law.
+    """
+    gaussian_view = replace(params, noise_model=NoiseModel.GAUSSIAN)
+    return {
+        "opt-no-offset": optimal_threshold_closed_form(gaussian_view, b=0.0),
+        "opt-mean-offset": optimal_threshold_closed_form(gaussian_view, b=params.offset_mu_b),
+        "opt-full": optimal_threshold_bisection(params),
+    }
+
+
 def optimal_threshold_empirical(
     params: ChannelParams, nblocks: int, seed: int, n: int = 71
 ) -> ThresholdResult:
-    """Empirical optimum threshold from simulated reads, for any noise model.
+    """Empirical optimum threshold from simulated reads: an independent check of the bisection.
 
     Pools ``nblocks`` blocks and reuses the dynamic-threshold sweep with the
     true bits as labels, so the returned threshold exactly minimizes the

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, harness
-from .channel import NoiseModel, derive_seed, sample_block_matrix, save_dataset
+from .channel import derive_seed, sample_block_matrix, save_dataset
 from .config import (
     channel_params,
     echo_config,
@@ -186,19 +186,13 @@ def cmd_analytic(args) -> int:
             sigma0=args.sigma0 if args.sigma0 is not None else params.sigma0,
             sigma1=args.sigma1 if args.sigma1 is not None else params.sigma1,
         )
-    no_offset = analytic.optimal_threshold_closed_form(params, b=0.0)
-    mean_offset = analytic.optimal_threshold_closed_form(params, b=params.offset_mu_b)
-    full = analytic.optimal_threshold_bisection(params)
+    refs = analytic.reference_thresholds(params)
     print(
         "channel: "
         + json.dumps({k: ch[k] for k in ("mu0", "mu1", "ratio", "mu_b", "sigma_b_over_mu1")})
     )
     print(f"{'detector':<16} {'method':<17} {'r_th (kOhm)':>12} {'ber':>13}")
-    for name, res in (
-        ("opt-no-offset", no_offset),
-        ("opt-mean-offset", mean_offset),
-        ("opt-full", full),
-    ):
+    for name, res in refs.items():
         ber_true = analytic.ber_variable_offset(res.r_th, params)
         print(f"{name:<16} {res.method.value:<17} {res.r_th:>12.6f} {ber_true:>13.6e}")
     if args.out:
@@ -232,9 +226,8 @@ def cmd_dtd(args) -> int:
         "r_adj": result.r_adj,
         "objective": result.objective,
         "interval": list(result.interval),
+        "reference_optimum": analytic.optimal_threshold_bisection(params).r_th,
     }
-    if params.noise_model is NoiseModel.GAUSSIAN:
-        doc["reference_optimum"] = analytic.optimal_threshold_bisection(params).r_th
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "dtd.json").write_text(json.dumps(doc, indent=2) + "\n")

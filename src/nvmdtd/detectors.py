@@ -37,14 +37,6 @@ def threshold_detect(y, r_th: float) -> np.ndarray:
     return (np.asarray(y) >= r_th).astype(np.uint8)
 
 
-def hamming(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ParameterError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
-
-
 def dtd_search(reads, labels) -> DtdResult:
     """Exact minimizer of total Hamming distance between labels and threshold decisions.
 

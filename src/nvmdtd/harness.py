@@ -13,9 +13,11 @@ every parameter per row and follow the fixed schema::
 
     ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci
 
-Rows for analytic (non-simulated) references carry ``bits = 0``; rows that
-could not run (missing weight assets) carry NaN estimates and keep the
-sweep going.
+The reference thresholds come from :func:`analytic.reference_thresholds`:
+``opt-full`` is the exact optimum under the channel's own variation law,
+Gaussian or centered-Beta, and ``optimum-bound`` is its exact BER, a row
+with ``bits = 0`` because nothing is simulated.  Rows that could not run
+(missing weight assets) carry NaN estimates and keep the sweep going.
 """
 
 from __future__ import annotations
@@ -116,31 +118,6 @@ class SweepSpec:
             raise ParameterError("block counts must be >= 1")
 
 
-def _reference_thresholds(params: ChannelParams, point_seed: int, nblocks: int, n: int):
-    """The three reference thresholds for one operating point.
-
-    ``no_offset`` ignores the offset entirely, ``mean_offset`` knows only
-    its mean, ``full`` uses the complete channel law (numerically for
-    Gaussian channels, by empirical search otherwise).
-    """
-    gaussian = params.noise_model is NoiseModel.GAUSSIAN
-    if gaussian:
-        no_offset = analytic.optimal_threshold_closed_form(params, b=0.0)
-        mean_offset = analytic.optimal_threshold_closed_form(params, b=params.offset_mu_b)
-        full = analytic.optimal_threshold_bisection(params)
-    else:
-        gauss_view = ChannelParams(
-            mu0=params.mu0, mu1=params.mu1, sigma0=params.sigma0, sigma1=params.sigma1,
-            offset_mu_b=params.offset_mu_b, offset_sigma_b=params.offset_sigma_b,
-        )
-        no_offset = analytic.optimal_threshold_closed_form(gauss_view, b=0.0)
-        mean_offset = analytic.optimal_threshold_closed_form(gauss_view, b=params.offset_mu_b)
-        full = analytic.optimal_threshold_empirical(
-            params, nblocks, derive_seed(point_seed, 2), n=n
-        )
-    return {"opt-no-offset": no_offset, "opt-mean-offset": mean_offset, "opt-full": full}
-
-
 def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> list[dict]:
     """One row per (operating point, detector); optionally written as CSV.
 
@@ -160,7 +137,7 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> lis
             point_seed = derive_seed(spec.seed, point_idx)
             eval_seed = derive_seed(point_seed, 0)
             calib_seed = derive_seed(point_seed, 1)
-            refs = _reference_thresholds(params, point_seed, spec.blocks_per_point, spec.n)
+            refs = analytic.reference_thresholds(params)
             base = {
                 "ratio": ratio,
                 "mu_b": mu_b,

@@ -1,7 +1,7 @@
 """From-scratch trainable detector networks: layers, models, Adam, training, weights IO."""
 
 from .layers import DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
-from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model, mse_loss
+from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model
 from .optim import AdamState, adam_step
 from .training import (
     DESK_TRAIN_BLOCKS,

@@ -192,15 +192,6 @@ def count_params(model) -> int:
     return sum(arr.size for _, arr in model.param_blocks())
 
 
-def mse_loss(soft, target) -> float:
-    """Mean squared error between soft estimates and target bits."""
-    soft = np.asarray(soft, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if soft.shape != target.shape:
-        raise ParameterError(f"length mismatch: {soft.shape} vs {target.shape}")
-    return float(np.mean((target - soft) ** 2))
-
-
 def _as_batch(y, n_expected: int | None = None) -> tuple[np.ndarray, bool]:
     y = np.asarray(y, dtype=np.float64)
     was_1d = y.ndim == 1

@@ -19,7 +19,7 @@ from nvmdtd.analytic import (
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.harness import dtd_calibrate, estimate_ber, estimate_ber_paired
-from nvmdtd.nn.models import MlpModel, RnnModel, count_params, mse_loss
+from nvmdtd.nn.models import MlpModel, RnnModel, count_params
 from nvmdtd.nn.training import TrainConfig, train
 
 RATIOS = (0.05, 0.08, 0.10, 0.12)
@@ -106,9 +106,9 @@ def test_c3_gaussian_offset_reduction():
 def _fd_entry(model, arr, idx, y, target, step=1e-5):
     orig = arr[idx]
     arr[idx] = orig + step
-    lp = mse_loss(model.forward(y), target)
+    lp = model.value_and_grad(y, target)[0]
     arr[idx] = orig - step
-    lm = mse_loss(model.forward(y), target)
+    lm = model.value_and_grad(y, target)[0]
     arr[idx] = orig
     return (lp - lm) / (2 * step)
 

@@ -16,9 +16,11 @@ from nvmdtd.analytic import (
     optimal_threshold_closed_form,
     optimal_threshold_empirical,
     q_function,
+    reference_thresholds,
 )
 from nvmdtd.channel import ChannelParams, NoiseModel, sample_block_matrix
-from nvmdtd.detectors import threshold_detect
+from nvmdtd.detectors import ThresholdDetector, threshold_detect
+from nvmdtd.harness import estimate_ber
 from nvmdtd.errors import ParameterError, UnsupportedModelError
 
 
@@ -75,9 +77,12 @@ class TestBerFixedOffset:
         assert abs(ber_mc - res.ber) <= 3 * sigma
 
     def test_non_gaussian_rejected(self):
+        # The BER itself is exact for both noise models; only the closed-form
+        # optimum is Gaussian by nature.
         p = ChannelParams.from_ratio(0.05, noise_model=NoiseModel.CENTERED_BETA)
+        assert 0.0 <= ber_fixed_offset(1.5, p, 0.0) < 1e-12
         with pytest.raises(UnsupportedModelError):
-            ber_fixed_offset(1.5, p, 0.0)
+            optimal_threshold_closed_form(p, b=0.0)
 
 
 class TestBerDerivative:
@@ -125,6 +130,12 @@ class TestClosedForm:
         a = optimal_threshold_closed_form(p, b=-0.2)
         b = optimal_threshold_closed_form(shifted, b=0.0)
         assert a.r_th == pytest.approx(b.r_th, abs=1e-12)
+
+    def test_nearly_equal_sigmas_fall_back_to_bisection(self):
+        # d0 - d1 cancels here: the quadratic's root lands at 1.99985, not a
+        # local minimum, so the closed form takes the bisection's answer.
+        p = ChannelParams(1.0, 3.0, 0.3, 0.3 * (1 + 2e-12))
+        assert optimal_threshold_closed_form(p, b=0.0).r_th == pytest.approx(2.0, abs=1e-8)
 
     def test_dominates_grid(self):
         p = ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04)
@@ -250,6 +261,58 @@ class TestEmpirical:
     def test_rejects_zero_blocks(self):
         with pytest.raises(ParameterError):
             optimal_threshold_empirical(ChannelParams.from_ratio(0.05), 0, seed=1)
+
+
+def beta_channel(ratio, mu_b=-0.15, sigma_b_over_mu1=0.04):
+    return ChannelParams.from_ratio(ratio, mu_b=mu_b, sigma_b_over_mu1=sigma_b_over_mu1,
+                                    noise_model=NoiseModel.CENTERED_BETA)
+
+
+class TestCenteredBeta:
+    @pytest.mark.parametrize("sigma_b_over_mu1", [0.04, 0.0])
+    def test_derivative_matches_finite_differences(self, sigma_b_over_mu1):
+        rng = np.random.default_rng(6)
+        h = 1e-6
+        for _ in range(100):
+            p = beta_channel(rng.uniform(0.05, 0.14), rng.uniform(-0.3, 0.1), sigma_b_over_mu1)
+            r = rng.uniform(1.05, 1.9)
+            fd = (ber_variable_offset(r + h, p) - ber_variable_offset(r - h, p)) / (2 * h)
+            an = ber_variable_offset_derivative(r, p)
+            assert an == pytest.approx(fd, rel=1e-6, abs=2e-9)
+            if sigma_b_over_mu1 == 0.0:
+                assert ber_derivative(r, p, p.offset_mu_b) == an
+
+    @pytest.mark.parametrize("ratio", [0.08, 0.12])
+    def test_monte_carlo_agreement(self, ratio):
+        p = beta_channel(ratio)
+        opt = optimal_threshold_bisection(p)
+        est = estimate_ber(ThresholdDetector(opt.r_th), p, 20_000,
+                           seed=2003 + int(ratio * 100))
+        sigma = math.sqrt(opt.ber * (1 - opt.ber) / est.bits)
+        assert abs(est.ber - opt.ber) <= 3 * sigma
+
+    def test_bisection_matches_empirical_search(self):
+        p = beta_channel(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07)
+        emp = optimal_threshold_empirical(p, 30_000, seed=987)
+        bi = optimal_threshold_bisection(p)
+        assert abs(emp.r_th - bi.r_th) < 0.01
+        assert bi.ber == ber_variable_offset(bi.r_th, p)
+
+    def test_disjoint_supports_are_error_free(self):
+        # At ratio 0.05 the two bounded read laws only touch at mu0 + 1 - 1/2.2.
+        p = beta_channel(0.05, mu_b=0.0, sigma_b_over_mu1=0.0)
+        opt = optimal_threshold_bisection(p)
+        assert opt.ber < 1e-12
+        assert p.mu0 < opt.r_th < p.mu1
+
+    def test_reference_table_uses_gaussian_view_for_closed_forms(self):
+        p = beta_channel(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07)
+        gauss = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07)
+        refs = reference_thresholds(p)
+        assert refs["opt-no-offset"] == optimal_threshold_closed_form(gauss, b=0.0)
+        assert refs["opt-mean-offset"] == optimal_threshold_closed_form(gauss, b=-0.2)
+        assert refs["opt-full"] == optimal_threshold_bisection(p)
+        assert reference_thresholds(gauss)["opt-full"] == optimal_threshold_bisection(gauss)
 
 
 class TestMonotoneDegradation:

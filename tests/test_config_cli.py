@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nvmdtd
 from nvmdtd import harness
+from nvmdtd.analytic import optimal_threshold_bisection
 from nvmdtd.channel import NoiseModel, load_dataset
 from nvmdtd.config import (
     channel_params,
@@ -232,6 +238,17 @@ class TestCliTrain:
         assert f"{key} must be one of" in capsys.readouterr().err
 
 
+class TestCliImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats takes about a second to import, twice the CLI's whole start-up.
+        src = str(Path(nvmdtd.__file__).resolve().parents[1])
+        probe = "import sys, nvmdtd.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestCliAnalytic:
     def test_reference_threshold_printed(self, capsys):
         rc = main(["analytic", "--ratio", "0.05"])
@@ -262,10 +279,19 @@ class TestCliAnalytic:
 
     @pytest.mark.parametrize("flags", [[], ["--sigma0", "0.08"]])
     def test_sigma_override_keeps_noise_model(self, tmp_path, capsys, flags):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"channel": {"noise_model": "centered-beta"}}))
-        assert main(["analytic", "--config", str(cfg)] + flags) == 2
-        assert "Gaussian" in capsys.readouterr().err
+        full = {}
+        for noise in ("centered-beta", "gaussian"):
+            cfg = tmp_path / f"{noise}.json"
+            cfg.write_text(json.dumps({"channel": {"noise_model": noise}}))
+            assert main(["analytic", "--config", str(cfg)] + flags) == 0
+            lines = capsys.readouterr().out.splitlines()
+            full[noise] = next(l for l in lines if l.startswith("opt-full")).split()
+        beta = resolve_config({"channel": {"noise_model": "centered-beta"}})
+        params = channel_params(beta["channel"])
+        if flags:
+            params = dataclasses.replace(params, sigma0=0.08)
+        assert full["centered-beta"][2] == f"{optimal_threshold_bisection(params).r_th:.6f}"
+        assert full["centered-beta"][2:] != full["gaussian"][2:]
 
 
 class TestCliGenEvalDtd:
@@ -299,6 +325,18 @@ class TestCliGenEvalDtd:
         out = tmp_path / "dtd"
         assert main(["dtd", "--config", str(cfg), "--out", str(out), "--genie"]) == 0
         doc = json.loads((out / "dtd.json").read_text())
+        assert abs(doc["r_adj"] - doc["reference_optimum"]) < 0.02
+
+    def test_dtd_genie_on_beta_writes_reference_optimum(self, tmp_path):
+        channel = {"ratio": 0.1, "mu_b": -0.2, "sigma_b_over_mu1": 0.04,
+                   "noise_model": "centered-beta"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channel": channel, "dtd": {"blocks": 1000}}))
+        out = tmp_path / "dtd"
+        assert main(["dtd", "--config", str(cfg), "--out", str(out), "--genie"]) == 0
+        doc = json.loads((out / "dtd.json").read_text())
+        params = channel_params(resolve_config({"channel": channel})["channel"])
+        assert doc["reference_optimum"] == optimal_threshold_bisection(params).r_th
         assert abs(doc["r_adj"] - doc["reference_optimum"]) < 0.02
 
     def test_dtd_without_labels_exits_4(self, tmp_path):

@@ -10,7 +10,6 @@ from nvmdtd.detectors import (
     NnDetector,
     ThresholdDetector,
     dtd_search,
-    hamming,
     hard_decision,
     threshold_detect,
 )
@@ -61,24 +60,6 @@ class TestThresholdDetect:
         b = threshold_detect(np.array(ys), hi)
         # raising the threshold can only flip decisions one -> zero
         assert np.all(b <= a)
-
-
-class TestHamming:
-    def test_identical(self):
-        assert hamming([0, 1, 1], [0, 1, 1]) == 0
-
-    def test_complement(self):
-        a = np.array([0, 1, 0, 1])
-        assert hamming(a, 1 - a) == 4
-
-    def test_symmetry(self):
-        a = np.array([0, 1, 1, 0])
-        b = np.array([1, 1, 0, 0])
-        assert hamming(a, b) == hamming(b, a)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            hamming([0, 1], [0, 1, 1])
 
 
 class TestDtdSearch:

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nvmdtd import harness
+from nvmdtd import analytic, harness
 from nvmdtd.analytic import (
     ber_variable_offset,
     optimal_threshold_bisection,
@@ -162,18 +163,26 @@ class TestRunSweep:
         assert rows["dtd-mlp"]["ber"] == 0.0
         assert math.isfinite(rows["dtd-mlp"]["r_th"])
 
-    def test_beta_sweep_uses_empirical_full_reference(self):
+    def test_beta_sweep_full_reference_is_exact_optimum(self):
         spec = SweepSpec(
             ratios=(0.10,),
             mu_b_values=(-0.2,),
             sigma_b_over_mu1=0.07,
             noise_model=NoiseModel.CENTERED_BETA,
-            detectors=("opt-mean-offset", "opt-full"),
+            detectors=("opt-mean-offset", "opt-full", "optimum-bound"),
             blocks_per_point=5_000,
             seed=23,
         )
         rows = {row["detector"]: row for row in run_sweep(spec)}
-        assert math.isfinite(rows["opt-full"]["ber"])
+        p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07,
+                                     noise_model=NoiseModel.CENTERED_BETA)
+        opt = optimal_threshold_bisection(p)
+        assert rows["opt-full"]["r_th"] == opt.r_th
+        assert rows["opt-full"]["bits"] == 5_000 * 71
+        bound = rows["optimum-bound"]
+        assert (bound["r_th"], bound["bits"]) == (opt.r_th, 0)
+        assert bound["ber"] == ber_variable_offset(opt.r_th, p)
+        assert abs(rows["opt-full"]["ber"] - bound["ber"]) <= rows["opt-full"]["ci"]
 
     def test_rows_equal_standalone_estimates(self, trained_tiny_mlp):
         _, model = trained_tiny_mlp
@@ -223,9 +232,12 @@ class TestRunSweep:
             return real(params, n, nblocks, seed, start=start)
 
         monkeypatch.setattr(harness, "sample_block_matrix", counting)
-        rows = run_sweep(spec, assets=assets)
-        assert len(rows) == 6 and all(row["bits"] == 250 * n for row in rows)
-        assert sum(sampled) == spec.blocks_per_point + spec.calib_blocks
+        monkeypatch.setattr(analytic, "sample_block_matrix", counting)
+        for noise in NoiseModel:
+            sampled.clear()
+            rows = run_sweep(dataclasses.replace(spec, noise_model=noise), assets=assets)
+            assert len(rows) == 6 and all(row["bits"] == 250 * n for row in rows)
+            assert sum(sampled) == spec.blocks_per_point + spec.calib_blocks, noise
 
     def test_unknown_detector_rejected(self):
         spec = SweepSpec(ratios=(0.1,), detectors=("nonsense",), blocks_per_point=10, seed=1)

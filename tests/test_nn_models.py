@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nvmdtd.errors import ParameterError
-from nvmdtd.nn.models import MlpModel, RnnModel, mse_loss
+from nvmdtd.nn.models import MlpModel, RnnModel
 
 GRAD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -21,9 +21,9 @@ def finite_difference_check(model, y, target, step=GRAD_STEP):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + step
-            lp = mse_loss(model.forward(y), target)
+            lp = model.value_and_grad(y, target)[0]
             arr[idx] = orig - step
-            lm = mse_loss(model.forward(y), target)
+            lm = model.value_and_grad(y, target)[0]
             arr[idx] = orig
             fd = (lp - lm) / (2 * step)
             an = g[idx]
@@ -83,22 +83,32 @@ class TestForward:
 
 
 class TestMseLoss:
+    """The loss ``value_and_grad`` returns: mean squared error over the batch."""
+
     def test_perfect_fit(self):
-        assert mse_loss([0.0, 1.0], [0.0, 1.0]) == 0.0
+        rng = np.random.default_rng(4)
+        for model in (MlpModel.create(5, rng), RnnModel.create(rng, hidden=4)):
+            y = rng.normal(1.5, 0.4, size=(3, 5))
+            assert model.value_and_grad(y, model.forward(y))[0] == 0.0
 
     def test_half_everywhere(self):
-        assert mse_loss(np.full(8, 0.5), np.ones(8)) == pytest.approx(0.25)
+        # Zero weights put out 0.5 at every position.
+        for model in (MlpModel.create(8, None), RnnModel.create(None, hidden=3)):
+            assert model.value_and_grad(np.ones(8), np.ones(8))[0] == pytest.approx(0.25)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        soft = rng.uniform(0, 1, 32)
-        target = rng.integers(0, 2, 32).astype(float)
-        perm = rng.permutation(32)
-        assert mse_loss(soft, target) == pytest.approx(mse_loss(soft[perm], target[perm]))
+        model = RnnModel.create(rng, hidden=4)
+        y = rng.normal(1.5, 0.4, size=(6, 8))
+        target = rng.integers(0, 2, (6, 8)).astype(float)
+        perm = rng.permutation(6)
+        loss = model.value_and_grad(y, target)[0]
+        assert loss == pytest.approx(model.value_and_grad(y[perm], target[perm])[0])
 
     def test_length_mismatch(self):
+        model = RnnModel.create(np.random.default_rng(0), hidden=3)
         with pytest.raises(ParameterError):
-            mse_loss([0.1], [0.1, 0.2])
+            model.value_and_grad([1.0], [0.0, 1.0])
 
 
 class TestGradients:
