@@ -1,17 +1,20 @@
 """Command-line surface: data generation, training, analytic queries, evaluation,
 dynamic-threshold runs, sweeps, and recalibration sessions.
 
+Every flag except ``--config``, ``--out`` and ``--paper-scale`` sets one
+config key (``_FLAG_KEYS``) before the config is resolved.  ``main`` runs
+every command: resolve, create ``--out``, run, then echo the resolved config
+to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
+
 Exit codes: 0 success, 2 configuration or parameter problem, 3 numeric
 failure (training divergence, root bracketing), 4 missing or unreadable
-asset.  All file outputs land under ``--out``, together with an echo of
-the fully resolved configuration.
+asset.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,8 +38,6 @@ from .errors import (
     MissingAssetError,
     NoRootError,
     NvmdtdError,
-    ParameterError,
-    UnsupportedModelError,
 )
 from .nn.weights_io import load_weights, save_weights
 
@@ -70,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--sigma-b-over-mu1", type=float, help="offset std relative to mu1")
     a.add_argument("--mu0", type=float)
     a.add_argument("--mu1", type=float)
-    a.add_argument("--sigma0", type=float, help="override the ratio-derived sigma0")
-    a.add_argument("--sigma1", type=float, help="override the ratio-derived sigma1")
     add("eval", "Monte-Carlo evaluate detectors at one operating point")
     d = add("dtd", "derive an adjusted threshold from detector outputs")
     d.add_argument("--weights", help="weight file for the labeling network")
@@ -85,13 +84,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The config key each flag sets; "{command}" is the running command's section.
+_FLAG_KEYS = {
+    "seed": "seed",
+    **{k: f"channel.{k}" for k in ("ratio", "mu_b", "sigma_b_over_mu1", "mu0", "mu1")},
+    "genie": "{command}.genie", "weights": "{command}.weights",
+    "weights_mlp": "sweep.weights.mlp", "weights_rnn": "sweep.weights.rnn",
+}
+
+
 def _resolved(args) -> dict:
     user = load_config(args.config) if args.config else {}
     # A config-resolved.json echo names the command that wrote it.
     command = user.pop("command", args.command)
     if command != args.command:
         raise ConfigError(f"config was resolved for command {command!r}, not {args.command!r}")
-    return resolve_config(user, seed=args.seed, paper_scale=args.paper_scale)
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or value is False:  # flag not given
+            continue
+        *sections, leaf = key.format(command=command).split(".")
+        node = user
+        for name in sections:
+            node = node.setdefault(name, {}) if isinstance(node, dict) else None
+        if isinstance(node, dict):  # else resolve_config reports the malformed section
+            node[leaf] = value
+    return resolve_config(user, paper_scale=args.paper_scale)
 
 
 def _load_asset(path_str: str | None):
@@ -103,14 +121,9 @@ def _load_asset(path_str: str | None):
     return load_weights(path)
 
 
-def _labeler(cfg: dict, section: str, args):
-    """Fold ``--genie``/``--weights`` into ``cfg[section]`` and build the labeling detector."""
-    sec = dict(cfg[section])
-    if args.genie:
-        sec["genie"] = True
-    if args.weights:
-        sec["weights"] = args.weights
-    cfg[section] = sec
+def _labeler(cfg: dict, section: str):
+    """The labeling detector of ``cfg[section]``: the true bits or a weight file."""
+    sec = cfg[section]
     if sec["genie"]:
         return GenieDetector()
     model = _load_asset(sec["weights"])
@@ -132,60 +145,35 @@ def _sweep(cfg: dict, section: str, out: Path, **grid) -> list[dict]:
         **grid,
     )
     assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
-    out.mkdir(parents=True, exist_ok=True)
-    rows = harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv")
-    echo_config(cfg, out, section)
-    return rows
+    return harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv")
 
 
-def cmd_gen(args) -> int:
-    cfg = _resolved(args)
+def cmd_gen(cfg: dict, out: Path) -> None:
     params = channel_params(cfg["channel"])
     n = cfg["n"]
     x, y = sample_block_matrix(params, n, cfg["gen"]["blocks"], cfg["seed"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_dataset(out / "dataset.txt", x, y, params)
-    echo_config(cfg, out, "gen")
     print(f"wrote {len(x)} blocks of {n} bits to {out / 'dataset.txt'}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _resolved(args)
+def cmd_train(cfg: dict, out: Path) -> None:
     params = channel_params(cfg["channel"])
     kind = cfg["train"]["kind"]
     tc = train_config(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = harness.training_curve(
         kind, params, tc, csv_path=out / "curve.csv",
         n=cfg["n"], hidden=cfg["train"]["hidden"],
     )
     weight_path = out / f"weights-{kind}.nvmw"
     save_weights(result.model, weight_path, seed=cfg["seed"], n=cfg["n"])
-    echo_config(cfg, out, "train")
     final = result.history[-1]
     print(f"trained {kind}: {tc.epochs} epochs, final validation BER {final.val_ber:.3e}")
     print(f"weights: {weight_path}")
-    return EXIT_OK
 
 
-def cmd_analytic(args) -> int:
-    cfg = _resolved(args)
-    ch = dict(cfg["channel"])
-    for key in ("ratio", "mu_b", "sigma_b_over_mu1", "mu0", "mu1"):
-        value = getattr(args, key)
-        if value is not None:
-            ch[key] = value
-    cfg["channel"] = ch
+def cmd_analytic(cfg: dict, out: Path | None) -> None:
+    ch = cfg["channel"]
     params = channel_params(ch)
-    if args.sigma0 is not None or args.sigma1 is not None:
-        params = dataclasses.replace(
-            params,
-            sigma0=args.sigma0 if args.sigma0 is not None else params.sigma0,
-            sigma1=args.sigma1 if args.sigma1 is not None else params.sigma1,
-        )
     refs = analytic.reference_thresholds(params)
     print(
         "channel: "
@@ -195,16 +183,12 @@ def cmd_analytic(args) -> int:
     for name, res in refs.items():
         ber_true = analytic.ber_variable_offset(res.r_th, params)
         print(f"{name:<16} {res.method.value:<17} {res.r_th:>12.6f} {ber_true:>13.6e}")
-    if args.out:
-        echo_config(cfg, Path(args.out), "analytic")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolved(args)
+def cmd_eval(cfg: dict, out: Path) -> None:
     ch = cfg["channel"]
     rows = _sweep(
-        cfg, "eval", Path(args.out),
+        cfg, "eval", out,
         ratios=(ch["ratio"],),
         mu_b_values=(ch["mu_b"],),
         sigma_b_over_mu1=ch["sigma_b_over_mu1"],
@@ -212,13 +196,11 @@ def cmd_eval(args) -> int:
     )
     for row in rows:
         print(f"{row['detector']:<16} ber={row['ber']:.6e} ci={row['ci']:.2e}")
-    return EXIT_OK
 
 
-def cmd_dtd(args) -> int:
-    cfg = _resolved(args)
+def cmd_dtd(cfg: dict, out: Path) -> None:
     params = channel_params(cfg["channel"])
-    detector = _labeler(cfg, "dtd", args)
+    detector = _labeler(cfg, "dtd")
     result = harness.dtd_calibrate(
         detector, params, cfg["dtd"]["blocks"], derive_seed(cfg["seed"], 0), n=cfg["n"]
     )
@@ -228,23 +210,13 @@ def cmd_dtd(args) -> int:
         "interval": list(result.interval),
         "reference_optimum": analytic.optimal_threshold_bisection(params).r_th,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "dtd.json").write_text(json.dumps(doc, indent=2) + "\n")
-    echo_config(cfg, out, "dtd")
     print(f"adjusted threshold {result.r_adj:.6f} kOhm "
           f"(objective {result.objective}, interval {result.interval})")
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolved(args)
+def cmd_sweep(cfg: dict, out: Path) -> None:
     sw = cfg["sweep"]
-    if args.weights_mlp:
-        sw["weights"]["mlp"] = args.weights_mlp
-    if args.weights_rnn:
-        sw["weights"]["rnn"] = args.weights_rnn
-    out = Path(args.out)
     rows = _sweep(
         cfg, "sweep", out,
         ratios=tuple(sw["ratios"]),
@@ -253,29 +225,22 @@ def cmd_sweep(args) -> int:
         noise_model=noise_model(sw["noise_model"], "sweep"),
     )
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
-    return EXIT_OK
 
 
-def cmd_session(args) -> int:
-    cfg = _resolved(args)
+def cmd_session(cfg: dict, out: Path) -> None:
     se = cfg["session"]
     segments = tuple(
         (seg["start_block"], channel_params(seg["channel"])) for seg in se["segments"]
     )
-    trig = se["trigger"]
-    policy = harness.TriggerPolicy(
-        kind=trig["kind"], period=trig.get("period", 0), threshold=trig["threshold"]
-    )
     schedule = harness.DriftSchedule(
-        segments=segments, total_blocks=se["total_blocks"], trigger=policy
+        segments=segments, total_blocks=se["total_blocks"],
+        trigger=harness.TriggerPolicy(**se["trigger"]),
     )
-    detector = _labeler(cfg, "session", args)
+    detector = _labeler(cfg, "session")
     log = harness.simulate_recalibration_session(
         schedule, detector, seed=derive_seed(cfg["seed"], 0), m_blocks=se["m_blocks"],
         initial_threshold=se["initial_threshold"], n=cfg["n"],
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "session.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["segment", "start_block", "bits_pre", "errors_pre", "ber_pre",
@@ -290,10 +255,8 @@ def cmd_session(args) -> int:
         "triggers_total": log.triggers_total,
         "thresholds": log.thresholds,
     }, indent=2) + "\n")
-    echo_config(cfg, out, "session")
     print(f"session done: {log.triggers_total} recalibrations, "
           f"{log.nn_blocks_total} network blocks, final threshold {log.final_threshold:.6f}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -311,10 +274,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = _resolved(args)
+        out = Path(args.out) if args.out else None  # only analytic may run without --out
+        if out is not None:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {out} cannot be a directory: {exc}")
+        _COMMANDS[args.command](cfg, out)
+        if out is not None:
+            echo_config(cfg, out, args.command)
+        return EXIT_OK
     except (DivergenceError, NoRootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

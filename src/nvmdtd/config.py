@@ -1,15 +1,17 @@
 """Run configuration: one JSON document, strict keys, full defaulting.
 
-Unknown keys are rejected with their JSON path so typos fail fast, and the
-fully resolved document (defaults applied, CLI overrides folded in) is
-echoed next to every command's outputs; rerunning from that echo alone
-reproduces the run.
+Unknown keys, mistyped values and non-finite numbers are rejected with
+their JSON path so typos fail fast.  The CLI folds its flags into the user
+document before resolving it, and echoes the fully resolved document
+(defaults and scale-dependent budgets applied) next to every command's
+outputs; rerunning from that echo alone reproduces the run.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from pathlib import Path
 
 from .channel import ChannelParams, NoiseModel, QuantizerSpec
@@ -35,9 +37,6 @@ DEFAULT_CONFIG = {
         "epochs": 15,
         "minibatch_blocks": None,
         "learning_rate": 1e-3,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_epsilon": 1e-8,
         "train_blocks": None,
         "validation_blocks": 400,
         "hidden": None,
@@ -117,6 +116,9 @@ def _check_type(here: str, base, value) -> None:
         raise ConfigError(f"{here} must be a positive integer, got {value!r}")
     if not ok:
         raise ConfigError(f"{here} must be {_TYPE_NAMES[expected]}, got {value!r}")
+    # JSON NaN and Infinity parse, and so does an integer no float can hold.
+    if expected is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{here} must be a finite number, got {value!r}")
     if expected is list and base:
         for i, item in enumerate(value):
             _check_type(f"{here}[{i}]", base[0], item)
@@ -132,7 +134,7 @@ def _merge(defaults, user, path: str):
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
         base = defaults[key]
-        if isinstance(base, dict) and not _is_open_dict(path, key):
+        if isinstance(base, dict) and not _is_open_dict(key):
             out[key] = _merge(base, value, here)
         else:
             _check_type(here, base, value)
@@ -140,17 +142,14 @@ def _merge(defaults, user, path: str):
     return out
 
 
-def _is_open_dict(path: str, key: str) -> bool:
+def _is_open_dict(key: str) -> bool:
     """Sections whose values replace wholesale rather than merge per key."""
     return key in ("segments",)
 
 
-def resolve_config(user: dict | None, seed: int | None = None,
-                   paper_scale: bool = False) -> dict:
-    """Apply defaults, CLI overrides, and scale-dependent budgets (written out as numbers)."""
+def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:
+    """Apply defaults and scale-dependent budgets (written out as numbers)."""
     cfg = _merge(DEFAULT_CONFIG, user or {}, "")
-    if seed is not None:
-        cfg["seed"] = seed
 
     kind = cfg["train"]["kind"]
     if kind not in MINIBATCH_BLOCKS:
@@ -218,17 +217,12 @@ def train_config(cfg: dict) -> TrainConfig:
         validation_blocks=t["validation_blocks"],
         seed=cfg["seed"],
         learning_rate=t["learning_rate"],
-        adam_beta1=t["adam_beta1"],
-        adam_beta2=t["adam_beta2"],
-        adam_epsilon=t["adam_epsilon"],
     )
 
 
 def echo_config(cfg: dict, out_dir, command: str) -> Path:
-    """Write the fully resolved config next to the command outputs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the fully resolved config into the existing directory ``out_dir``."""
     doc = {"command": command} | cfg
-    path = out / "config-resolved.json"
+    path = Path(out_dir) / "config-resolved.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     return path

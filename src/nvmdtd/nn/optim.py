@@ -8,6 +8,11 @@ import numpy as np
 
 from ..errors import ParameterError
 
+# The published defaults (Kingma & Ba, arXiv:1412.6980); only the learning rate varies.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -30,27 +35,22 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One Adam update; parameter arrays are modified in place and returned."""
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ParameterError(f"betas must be in (0, 1), got ({beta1}, {beta2})")
     if params.keys() != grads.keys():
         raise ParameterError("parameter and gradient blocks do not match")
     state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ParameterError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
     return params, state

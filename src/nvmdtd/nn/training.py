@@ -39,9 +39,6 @@ class TrainConfig:
     validation_blocks: int
     seed: int
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         for field_name in ("epochs", "minibatch_blocks", "train_blocks", "validation_blocks"):
@@ -49,8 +46,6 @@ class TrainConfig:
                 raise ParameterError(f"{field_name} must be >= 1")
         if self.learning_rate <= 0:
             raise ParameterError("learning rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ParameterError("Adam betas must lie in (0, 1)")
         if self.seed < 0:
             raise ParameterError("seed must be non-negative")
 
@@ -123,13 +118,7 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
                     f"non-finite loss at epoch {epoch}, step {steps} (kind={kind}, "
                     f"lr={config.learning_rate})"
                 )
-            adam_step(
-                blocks, grads, state,
-                lr=config.learning_rate,
-                beta1=config.adam_beta1,
-                beta2=config.adam_beta2,
-                eps=config.adam_epsilon,
-            )
+            adam_step(blocks, grads, state, lr=config.learning_rate)
             loss_sum += loss
             steps += 1
         history.append(

@@ -1,4 +1,4 @@
-import dataclasses
+import argparse
 import json
 import os
 import re
@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nvmdtd
@@ -19,8 +20,9 @@ from nvmdtd.config import (
     resolve_config,
     train_config,
 )
-from nvmdtd.cli import main
+from nvmdtd.cli import _FLAG_KEYS, _build_parser, main
 from nvmdtd.errors import ConfigError
+from nvmdtd.nn.models import create_model
 from nvmdtd.nn.weights_io import read_weight_manifest, save_weights
 
 
@@ -40,7 +42,7 @@ class TestResolveConfig:
             resolve_config({"typo": 1})
 
     def test_cli_overrides(self):
-        cfg = resolve_config({}, seed=7)
+        cfg = resolve_config({"seed": 7})
         assert cfg["seed"] == 7
 
     def test_paper_scale_budgets(self):
@@ -118,6 +120,38 @@ def tiny_train_config(tmp_path):
     return path
 
 
+@pytest.fixture()
+def rnn_weights(tmp_path):
+    """An untrained small RNN's weight file; the RNN runs at any block length."""
+    path = tmp_path / "w.nvmw"
+    save_weights(create_model("rnn", 8, np.random.default_rng(0), hidden=4), path, seed=0, n=8)
+    return path
+
+
+# Each command with a config that keeps it small, and flags on top of that config.
+_RERUN_CASES = [
+    ("gen", {"n": 9, "seed": 3, "gen": {"blocks": 20}}, []),
+    ("eval", {"n": 16, "channel": {"ratio": 0.1},
+              "eval": {"blocks": 200, "detectors": ["midpoint", "opt-full"]}}, []),
+    ("train", {"seed": 321, "n": 12, "train": {"kind": "rnn", "epochs": 2, "train_blocks": 100,
+                                               "validation_blocks": 50, "hidden": 8}}, []),
+    ("session", {"n": 16, "session": {
+        "genie": True, "total_blocks": 300, "m_blocks": 30,
+        "segments": [{"start_block": 0, "channel": {"ratio": 0.1}},
+                     {"start_block": 120, "channel": {"ratio": 0.1, "mu_b": -0.3}}],
+        "trigger": {"kind": "periodic", "period": 50}}}, []),
+    ("analytic", {"channel": {"noise_model": "centered-beta"}},
+     ["--ratio", "0.08", "--mu-b", "-0.2"]),
+    ("dtd", {"n": 16, "channel": {"ratio": 0.1}, "dtd": {"blocks": 100}}, ["--genie"]),
+    ("sweep", {"n": 8, "sweep": {"ratios": [0.1], "blocks": 100, "calib_blocks": 20,
+                                 "detectors": ["midpoint", "rnn", "dtd-rnn"]}},
+     ["--weights-rnn", "{weights}"]),
+    ("session", {"n": 8, "session": {"total_blocks": 200, "m_blocks": 20,
+                                     "trigger": {"kind": "periodic", "period": 50}}},
+     ["--weights", "{weights}"]),
+]
+
+
 class TestCliTrain:
     def test_writes_outputs(self, tmp_path, tiny_train_config):
         out = tmp_path / "run"
@@ -171,6 +205,13 @@ class TestCliTrain:
         ("eval", {"eval": {"detectors": "midpoint"}}, "eval.detectors"),
         ("session", {"session": {"segments": [{"channel": {"mu_b": "x"}}]}},
          "session.segments[0].channel.mu_b"),
+        ("eval", {"channel": {"ratio": float("nan")}}, "channel.ratio"),
+        ("eval", {"channel": {"mu0": 10 ** 400}}, "channel.mu0"),
+        ("sweep", {"sweep": {"ratios": [0.1, float("inf")]}}, "sweep.ratios[1]"),
+        ("session", {"session": {"segments": [{"channel": {"mu_b": float("-inf")}}]}},
+         "session.segments[0].channel.mu_b"),
+        ("session", {"session": {"initial_threshold": float("nan")}},
+         "session.initial_threshold"),
     ])
     def test_mistyped_value_exits_2(self, tmp_path, capsys, command, doc, key):
         bad = tmp_path / "bad.json"
@@ -187,6 +228,23 @@ class TestCliTrain:
         cfg.write_text('{"threads": 1}')
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_adam_keys_and_sigma_flags_removed(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"train": {"adam_beta1": 0.9}}')
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key: train.adam_beta1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", "--sigma0", "0.07"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["analytic", "--out", str(blocker / sub)])
+        assert rc == 2
+        assert "cannot be a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, doc", [
         (["dtd", "--genie"], {"seed": -1}),
         (["session", "--genie"], {"seed": -1}),
@@ -200,31 +258,65 @@ class TestCliTrain:
         assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, doc", [
-        ("gen", {"n": 9, "seed": 3, "gen": {"blocks": 20}}),
-        ("eval", {"n": 16, "channel": {"ratio": 0.1},
-                  "eval": {"blocks": 200, "detectors": ["midpoint", "opt-full"]}}),
-        ("train", {"seed": 321, "n": 12, "train": {"kind": "rnn", "epochs": 2, "train_blocks": 100,
-                                                   "validation_blocks": 50, "hidden": 8}}),
-        ("session", {"n": 16, "session": {
-            "genie": True, "total_blocks": 300, "m_blocks": 30,
-            "segments": [{"start_block": 0, "channel": {"ratio": 0.1}},
-                         {"start_block": 120, "channel": {"ratio": 0.1, "mu_b": -0.3}}],
-            "trigger": {"kind": "periodic", "period": 50}}}),
-    ])
-    def test_rerun_from_echo_is_byte_identical(self, tmp_path, command, doc):
+    # Ids name the command and the case index.
+    @pytest.mark.parametrize("command, doc, flags", _RERUN_CASES,
+                             ids=[f"{case[0]}-doc{i}" for i, case in enumerate(_RERUN_CASES)])
+    def test_rerun_from_echo_is_byte_identical(self, tmp_path, capsys, rnn_weights,
+                                               command, doc, flags):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
+        flags = [f.format(weights=rnn_weights) for f in flags]
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main([command, "--config", str(cfg), "--out", str(first)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(first)] + flags) == 0
+        printed = capsys.readouterr().out.replace(str(first), "<out>")
         echo = first / "config-resolved.json"
+        # The echo alone, without the flags, reproduces every file and the printout.
         assert main([command, "--config", str(echo), "--out", str(second)]) == 0
+        assert capsys.readouterr().out.replace(str(second), "<out>") == printed
         files = sorted(p.name for p in first.iterdir())
         assert files == sorted(p.name for p in second.iterdir())
         for name in files:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         # The echo names its command; another command refuses it.
-        assert main(["dtd", "--genie", "--config", str(echo), "--out", str(tmp_path / "x")]) == 2
+        other = "gen" if command != "gen" else "eval"
+        assert main([other, "--config", str(echo), "--out", str(tmp_path / "x")]) == 2
+
+    def test_every_flag_lands_in_the_echo(self, tmp_path, rnn_weights):
+        values = {"seed": "7", "ratio": "0.07", "mu_b": "-0.1", "sigma_b_over_mu1": "0.01",
+                  "mu0": "1.1", "mu1": "2.1", "weights": str(rnn_weights),
+                  "weights_mlp": str(rnn_weights), "weights_rnn": str(rnn_weights)}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "n": 8, "gen": {"blocks": 5},
+            "train": {"epochs": 1, "train_blocks": 4, "validation_blocks": 4, "hidden": 4},
+            "eval": {"blocks": 20, "detectors": ["midpoint"]},
+            "dtd": {"blocks": 20},
+            "sweep": {"ratios": [0.1], "blocks": 20, "detectors": ["midpoint"]},
+            "session": {"total_blocks": 40, "m_blocks": 10,
+                        "trigger": {"kind": "periodic", "period": 20}},
+        }))
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            out = tmp_path / command
+            argv, expected = [command, "--config", str(cfg), "--out", str(out)], {}
+            for action in parser._actions:
+                if action.dest in ("help", "config", "out", "paper_scale"):
+                    continue
+                if action.nargs == 0:
+                    argv.append(action.option_strings[0])
+                    expected[action.dest] = True
+                else:
+                    argv += [action.option_strings[0], values[action.dest]]
+                    expected[action.dest] = action.type(values[action.dest]) \
+                        if action.type else values[action.dest]
+            assert main(argv) == 0, argv
+            echoed = json.loads((out / "config-resolved.json").read_text())
+            for dest, value in expected.items():
+                node = echoed
+                for part in _FLAG_KEYS[dest].format(command=command).split("."):
+                    node = node[part]
+                assert node == value, (command, dest)
 
     @pytest.mark.parametrize("command, doc, key", [
         ("eval", {"channel": {"noise_model": "cauchy"}}, "channel.noise_model"),
@@ -266,18 +358,18 @@ class TestCliAnalytic:
         full_row = next(l for l in lines if l.startswith("opt-full")).split()
         assert abs(float(mean_row[2]) - float(full_row[2])) < 1e-8
 
-    def test_equal_sigma_override_gives_midpoint(self, capsys):
-        rc = main(["analytic", "--sigma0", "0.07", "--sigma1", "0.07"])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        row = next(l for l in lines if l.startswith("opt-no-offset")).split()
-        assert float(row[2]) == pytest.approx(1.5, abs=1e-9)
-
     def test_invalid_params_exit_2(self, capsys):
         rc = main(["analytic", "--ratio", "-0.05"])
         assert rc == 2
 
-    @pytest.mark.parametrize("flags", [[], ["--sigma0", "0.08"]])
+    @pytest.mark.parametrize("flags, key", [(["--ratio", "nan"], "channel.ratio"),
+                                            (["--mu-b", "inf"], "channel.mu_b")])
+    def test_non_finite_flag_exits_2(self, capsys, flags, key):
+        assert main(["analytic"] + flags) == 2
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+
+    # A flag sets one channel key; the file's noise model stays.
+    @pytest.mark.parametrize("flags", [[], ["--ratio", "0.08"]])
     def test_sigma_override_keeps_noise_model(self, tmp_path, capsys, flags):
         full = {}
         for noise in ("centered-beta", "gaussian"):
@@ -286,10 +378,8 @@ class TestCliAnalytic:
             assert main(["analytic", "--config", str(cfg)] + flags) == 0
             lines = capsys.readouterr().out.splitlines()
             full[noise] = next(l for l in lines if l.startswith("opt-full")).split()
-        beta = resolve_config({"channel": {"noise_model": "centered-beta"}})
-        params = channel_params(beta["channel"])
-        if flags:
-            params = dataclasses.replace(params, sigma0=0.08)
+        beta = {"noise_model": "centered-beta"} | ({"ratio": 0.08} if flags else {})
+        params = channel_params(resolve_config({"channel": beta})["channel"])
         assert full["centered-beta"][2] == f"{optimal_threshold_bisection(params).r_th:.6f}"
         assert full["centered-beta"][2:] != full["gaussian"][2:]
 

@@ -45,10 +45,3 @@ def test_rejects_mismatched_blocks():
     state = AdamState.for_params(params)
     with pytest.raises(ParameterError):
         adam_step(params, {"v": np.zeros(2)}, state)
-
-
-def test_rejects_bad_betas():
-    params = {"w": np.zeros(2)}
-    state = AdamState.for_params(params)
-    with pytest.raises(ParameterError):
-        adam_step(params, {"w": np.zeros(2)}, state, beta1=1.0)

@@ -22,8 +22,6 @@ class TestTrainConfig:
             small_config(epochs=0)
         with pytest.raises(ParameterError):
             small_config(learning_rate=0.0)
-        with pytest.raises(ParameterError):
-            small_config(adam_beta1=1.0)
 
     def test_default_budgets(self):
         desk = train_config(resolve_config({"train": {"kind": "rnn"}}))
