@@ -140,6 +140,11 @@ class ChannelParams:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# A float64 carries a 52-bit fraction: with more bits, the cells of any
+# range [lo, hi] with hi - lo <= |hi| are finer than the float64 spacing at hi.
+QUANTIZER_MAX_BITS = 52
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Uniform read quantizer: clamp to [lo, hi], snap to one of 2^bits cell midpoints."""
@@ -149,8 +154,9 @@ class QuantizerSpec:
     hi: float = 2.5
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ParameterError(f"quantizer needs at least 1 bit, got {self.bits}")
+        if not 1 <= self.bits <= QUANTIZER_MAX_BITS:
+            raise ParameterError(
+                f"quantizer bits must be in [1, {QUANTIZER_MAX_BITS}], got {self.bits}")
         if not self.lo < self.hi:
             raise ParameterError(f"quantizer range is empty: [{self.lo}, {self.hi}]")
 

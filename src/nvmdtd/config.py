@@ -134,17 +134,16 @@ def _merge(defaults, user, path: str):
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
         base = defaults[key]
-        if isinstance(base, dict) and not _is_open_dict(key):
+        if isinstance(base, dict):
             out[key] = _merge(base, value, here)
+        elif isinstance(base, list) and base and isinstance(base[0], dict):
+            # Each object of such a list gets the default item's keys and checks.
+            _check_type(here, base, value)
+            out[key] = [_merge(base[0], item, f"{here}[{i}]") for i, item in enumerate(value)]
         else:
             _check_type(here, base, value)
             out[key] = copy.deepcopy(value)
     return out
-
-
-def _is_open_dict(key: str) -> bool:
-    """Sections whose values replace wholesale rather than merge per key."""
-    return key in ("segments",)
 
 
 def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:
@@ -164,17 +163,6 @@ def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:
         cfg["eval"]["blocks"] = eval_blocks
     if cfg["sweep"]["blocks"] is None:
         cfg["sweep"]["blocks"] = eval_blocks
-
-    # Segment channel sections also get defaults and strict keys.
-    resolved_segments = []
-    for i, seg in enumerate(cfg["session"]["segments"]):
-        if not isinstance(seg, dict):
-            raise ConfigError(f"session.segments[{i}]: expected an object")
-        seg_merged = _merge(
-            {"start_block": 0, "channel": dict(_CHANNEL_DEFAULTS)}, seg, f"session.segments[{i}]"
-        )
-        resolved_segments.append(seg_merged)
-    cfg["session"]["segments"] = resolved_segments
     return cfg
 
 

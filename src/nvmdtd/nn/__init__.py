@@ -1,7 +1,12 @@
-"""From-scratch trainable detector networks: layers, models, Adam, training, weights IO."""
+"""From-scratch trainable detector networks: activations, models, Adam, training, weights IO.
 
-from .layers import DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
-from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model
+Each network is a dict of named parameter arrays; ``models.param_shapes``
+is the one table of their names and shapes, and the ``models`` docstring
+states the gate equations of the recurrent layers.
+"""
+
+from .layers import relu, sigmoid, xavier_uniform_init
+from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model, param_shapes
 from .optim import AdamState, adam_step
 from .training import (
     DESK_TRAIN_BLOCKS,

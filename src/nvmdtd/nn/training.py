@@ -102,8 +102,7 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
     t_train = x_train.astype(np.float64)
 
     model = create_model(kind, n, init_rng, hidden=hidden)
-    blocks = dict(model.param_blocks())
-    state = AdamState.for_params(blocks)
+    state = AdamState.for_params(model.params)
 
     history: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
@@ -118,7 +117,7 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
                     f"non-finite loss at epoch {epoch}, step {steps} (kind={kind}, "
                     f"lr={config.learning_rate})"
                 )
-            adam_step(blocks, grads, state, lr=config.learning_rate)
+            adam_step(model.params, grads, state, lr=config.learning_rate)
             loss_sum += loss
             steps += 1
         history.append(

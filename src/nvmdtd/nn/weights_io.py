@@ -13,21 +13,22 @@ Layout::
     data
     <concatenated row-major float64 blocks, little-endian, manifest order>
 
-Loading builds the model the manifest's ``kind``, ``n`` and ``hidden``
-describe and requires the declared blocks to equal its ``param_blocks()``
-in names, shapes and order before the payload is copied in; a malformed
-manifest, a truncated or padded payload, or a non-finite parameter raises
-:class:`FormatError` without producing a partial model.
+Loading requires the declared blocks to equal ``param_shapes`` of the
+manifest's ``kind``, ``n`` and ``hidden`` in names, shapes and order, and
+the payload to hold exactly their bytes, before it builds any array; a
+malformed manifest, a truncated or padded payload, or a non-finite
+parameter raises :class:`FormatError` without producing a partial model.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import FormatError, ParameterError
-from .models import create_model
+from .models import MODELS, param_shapes
 
 WEIGHTS_MAGIC = "nvmdtd-weights-v1"
 
@@ -98,23 +99,25 @@ def load_weights(path):
     meta = read_weight_manifest(path)
     kind, n, hidden = meta["kind"], meta["n"], meta["hidden"]
     try:
-        # Zero weights: their pages are untouched until the payload is copied in.
-        model = create_model(kind, n, None, hidden)
-    except (ValueError, MemoryError) as exc:
-        raise FormatError(f"{path}: no {kind} model with n {n}, hidden {hidden}: {exc}")
-    blocks = model.param_blocks()
-    if meta["blocks"] != [(name, arr.shape) for name, arr in blocks]:
+        shapes = param_shapes(kind, n, hidden)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}")
+    if meta["blocks"] != shapes:
         raise FormatError(f"{path}: blocks do not match a {kind} model with n {n}, hidden {hidden}")
     raw = meta["payload"]
-    nbytes = 8 * sum(arr.size for _, arr in blocks)
+    # Python integers: a declared size can exceed int64, and must fail here, unallocated.
+    sizes = [math.prod(shape) for _, shape in shapes]
+    nbytes = 8 * sum(sizes)
     if len(raw) < nbytes:
         raise FormatError(f"{path}: truncated payload, {len(raw)} of {nbytes} bytes")
     if len(raw) > nbytes:
         raise FormatError(f"{path}: {len(raw) - nbytes} trailing bytes after last block")
+    params = {}
     offset = 0
-    for name, arr in blocks:
-        arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += 8 * arr.size
+    for (name, shape), size in zip(shapes, sizes):
+        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).reshape(shape)
+        offset += 8 * size
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: block {name} has non-finite entries")
-    return model
+        params[name] = arr.astype(np.float64)  # a writable copy: training resumes on it
+    return MODELS[kind](params)

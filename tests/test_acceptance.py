@@ -19,7 +19,7 @@ from nvmdtd.analytic import (
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.harness import dtd_calibrate, estimate_ber, estimate_ber_paired
-from nvmdtd.nn.models import MlpModel, RnnModel, count_params
+from nvmdtd.nn.models import count_params, create_model
 from nvmdtd.nn.training import TrainConfig, train
 
 RATIOS = (0.05, 0.08, 0.10, 0.12)
@@ -40,8 +40,8 @@ def verdict(criterion: str, ok: bool, detail: str = ""):
 
 def test_c1_architecture_pinning():
     rng = np.random.default_rng(0)
-    mlp = count_params(MlpModel.create(71, rng))
-    rnn = count_params(RnnModel.create(rng))
+    mlp = count_params(create_model("mlp", 71, rng))
+    rnn = count_params(create_model("rnn", 71, rng))
     verdict("C1 architecture pinning", mlp == 40683 and rnn == 46080,
             f"mlp={mlp} rnn={rnn}")
 
@@ -122,7 +122,7 @@ def test_c4_gradient_correctness():
     bad = []
 
     # every scalar parameter of the full-width MLP
-    mlp = MlpModel.create(71, rng)
+    mlp = create_model("mlp", 71, rng)
     y = rng.normal(1.5, 0.2, size=71)
     t = rng.integers(0, 2, 71).astype(float)
     _, grads = mlp.value_and_grad(y, t)
@@ -136,7 +136,7 @@ def test_c4_gradient_correctness():
 
     # every parameter block of the full-width recurrent model on a
     # length-8 sequence; large blocks are checked on 64 seeded entries
-    rnn = RnnModel.create(rng)
+    rnn = create_model("rnn", 71, rng)
     y = rng.normal(1.5, 0.2, size=8)
     t = rng.integers(0, 2, 8).astype(float)
     _, grads = rnn.value_and_grad(y, t)

@@ -188,6 +188,9 @@ class TestQuantizer:
         with pytest.raises(ParameterError):
             QuantizerSpec(0, 0.5, 2.5)
         with pytest.raises(ParameterError):
+            QuantizerSpec(53, 0.5, 2.5)
+        assert QuantizerSpec(52, 0.5, 2.5).levels == 2 ** 52
+        with pytest.raises(ParameterError):
             QuantizerSpec(3, 2.5, 0.5)
 
 

@@ -194,6 +194,14 @@ class TestCliTrain:
         assert rc == 2
         assert "train.epohcs" in capsys.readouterr().err
 
+    def test_unknown_key_in_segment_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"session": {"genie": True, "segments": [
+            {"start_block": 0}, {"start_block": 10, "chanel": {"ratio": 0.1}}]}}))
+        rc = main(["session", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "unknown config key: session.segments[1].chanel" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, doc, key", [
         ("eval", {"channel": {"ratio": "0.05"}}, "channel.ratio"),
         ("train", {"channel": {"ratio": "0.05"}}, "channel.ratio"),
@@ -212,6 +220,7 @@ class TestCliTrain:
          "session.segments[0].channel.mu_b"),
         ("session", {"session": {"initial_threshold": float("nan")}},
          "session.initial_threshold"),
+        ("session", {"session": {"segments": [{}, 3]}}, "session.segments[1]"),
     ])
     def test_mistyped_value_exits_2(self, tmp_path, capsys, command, doc, key):
         bad = tmp_path / "bad.json"
@@ -405,6 +414,14 @@ class TestCliGenEvalDtd:
         lines = (out / "eval.csv").read_text().splitlines()
         assert lines[0] == "ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci"
         assert len(lines) == 3
+
+    def test_quantizer_bits_above_cap_exits_2(self, tmp_path, capsys, rnn_weights):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, "eval": {
+            "blocks": 10, "detectors": ["rnn"], "quantizer": {"bits": 1100},
+            "weights": {"rnn": str(rnn_weights)}}}))
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev")]) == 2
+        assert "quantizer bits must be in [1, 52], got 1100" in capsys.readouterr().err
 
     def test_dtd_genie_matches_optimum(self, tmp_path):
         cfg = tmp_path / "c.json"

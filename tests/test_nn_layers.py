@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from nvmdtd.errors import ParameterError
-from nvmdtd.nn.layers import DenseLayer, GruLayer, relu, sigmoid, xavier_uniform_init
-from nvmdtd.nn.models import MlpModel, RnnModel, count_params
+from nvmdtd.nn.layers import relu, sigmoid, xavier_uniform_init
+from nvmdtd.nn.models import count_params, create_model
 
 
 class TestActivations:
@@ -47,35 +48,34 @@ class TestXavier:
 
 
 class TestShapes:
-    def test_dense_shape_validation(self):
-        with pytest.raises(ParameterError):
-            DenseLayer(weights=np.ones((3, 2)), bias=np.zeros(2))
-
-    def test_gru_shape_validation(self):
-        rng = np.random.default_rng(0)
-        layer = GruLayer.create(2, 4, rng)
-        with pytest.raises(ParameterError):
-            GruLayer(
-                w_z=layer.w_z, u_z=np.zeros((3, 3)), b_z=layer.b_z,
-                w_r=layer.w_r, u_r=layer.u_r, b_r=layer.b_r,
-                w_h=layer.w_h, u_h=layer.u_h, b_h=layer.b_h,
-            )
-
     def test_gru_param_count_formula(self):
-        model = RnnModel.create(np.random.default_rng(0), hidden=5)
+        model = create_model("rnn", 71, np.random.default_rng(0), hidden=5)
         gru = lambda i, h: 3 * (i * h + h * h + h)
         assert count_params(model) == gru(1, 5) + gru(5, 5) + 5 + 1
 
 
 class TestParamCounts:
     def test_mlp_reference_size(self):
-        model = MlpModel.create(71, np.random.default_rng(0))
+        model = create_model("mlp", 71, np.random.default_rng(0))
         assert count_params(model) == 40683
 
     def test_rnn_reference_size(self):
-        model = RnnModel.create(np.random.default_rng(0))
+        model = create_model("rnn", 71, np.random.default_rng(0))
         assert count_params(model) == 46080
 
     def test_mlp_unit_size(self):
-        model = MlpModel.create(1, np.random.default_rng(0))
+        model = create_model("mlp", 1, np.random.default_rng(0))
         assert count_params(model) == 13
+
+
+class TestInitDrawOrder:
+    # sha256 of the initial blocks at N = 71 from default_rng(0), little-endian
+    # float64 in weight-file order: the draw order is part of the determinism contract.
+    @pytest.mark.parametrize("kind, digest", [
+        ("mlp", "1be4af0bf794c0d7a20e1f844a1378104f12ae002fa88e93d21708c50ccc4588"),
+        ("rnn", "e7a4db81accc4938b23b40ac3b98c094d9233237ef205f5c6d6d8eaca6b1dd9c"),
+    ])
+    def test_init_digest_pinned(self, kind, digest):
+        model = create_model(kind, 71, np.random.default_rng(0))
+        raw = b"".join(a.astype("<f8").tobytes() for _, a in model.param_blocks())
+        assert hashlib.sha256(raw).hexdigest() == digest

@@ -7,7 +7,7 @@ import pytest
 
 from nvmdtd.cli import main
 from nvmdtd.errors import FormatError, ParameterError
-from nvmdtd.nn.models import MlpModel, RnnModel
+from nvmdtd.nn.models import create_model
 from nvmdtd.nn.weights_io import load_weights, read_weight_manifest, save_weights
 
 STORED = Path(__file__).resolve().parents[1] / "perfbench" / "weights"
@@ -17,8 +17,8 @@ STORED = Path(__file__).resolve().parents[1] / "perfbench" / "weights"
 def small_model(request):
     rng = np.random.default_rng(31)
     if request.param == "mlp":
-        return MlpModel.create(6, rng)
-    return RnnModel.create(rng, hidden=5)
+        return create_model("mlp", 6, rng)
+    return create_model("rnn", 6, rng, hidden=5)
 
 
 def test_save_load_save_bytes_identical(tmp_path, small_model):
@@ -39,7 +39,7 @@ def test_forward_identical_after_round_trip(tmp_path, small_model):
 
 
 def test_manifest_fields(tmp_path):
-    model = MlpModel.create(4, np.random.default_rng(0))
+    model = create_model("mlp", 4, np.random.default_rng(0))
     path = tmp_path / "m.nvmw"
     save_weights(model, path, seed=123)
     meta = read_weight_manifest(path)
@@ -79,7 +79,7 @@ def test_bad_magic_rejected(tmp_path, small_model):
 
 
 def test_shape_mismatch_rejected(tmp_path):
-    model = MlpModel.create(4, np.random.default_rng(0))
+    model = create_model("mlp", 4, np.random.default_rng(0))
     path = tmp_path / "m.nvmw"
     save_weights(model, path)
     text = path.read_bytes()
@@ -109,12 +109,12 @@ def test_loaded_arrays_are_writable(tmp_path, small_model):
 def test_mlp_n_must_be_its_input_width(tmp_path):
     path = tmp_path / "m.nvmw"
     with pytest.raises(ParameterError, match="contradicts"):
-        save_weights(MlpModel.create(4, np.random.default_rng(0)), path, n=5)
+        save_weights(create_model("mlp", 4, np.random.default_rng(0)), path, n=5)
     assert not path.exists()
 
 
 def test_rnn_n_is_required(tmp_path):
-    model = RnnModel.create(np.random.default_rng(0), hidden=5)
+    model = create_model("rnn", 16, np.random.default_rng(0), hidden=5)
     path = tmp_path / "m.nvmw"
     with pytest.raises(ParameterError, match="block length"):
         save_weights(model, path)
@@ -129,6 +129,15 @@ def _nan_first_entry(raw: bytes) -> bytes:
     return raw[:start] + np.array([np.nan], dtype="<f8").tobytes() + raw[start + 8:]
 
 
+def _declare_hidden_1e10(raw: bytes) -> bytes:
+    """Make a hidden-5 RNN's manifest declare hidden 1e10 throughout, keeping the short payload."""
+    cut = raw.index(b"\ndata\n")
+    lines = [b" ".join(b"10000000000" if tok == b"5" else tok for tok in line.split(b" "))
+             if line.startswith((b"block ", b"hidden ")) else line
+             for line in raw[:cut].split(b"\n")]
+    return b"\n".join(lines) + raw[cut:]
+
+
 @pytest.mark.parametrize("small_model, corrupt", [
     ("mlp", lambda raw: raw.replace(b"\nseed", b"\n\nseed", 1)),
     ("mlp", lambda raw: raw.replace(b"\nn 6\n", b"\nn x\n", 1)),
@@ -139,9 +148,14 @@ def _nan_first_entry(raw: bytes) -> bytes:
     ("rnn", lambda raw: raw.replace(b"\nhidden 5\n", b"\nhidden 100000000\n", 1)),
     ("rnn", _nan_first_entry),
     ("mlp", _nan_first_entry),
+    ("rnn", lambda raw: raw.replace(b"\nhidden 5\n", b"\nhidden 0\n", 1)),
+    ("mlp", lambda raw: raw.replace(b"\nn 6\n", b"\nn 0\n", 1)),
+    ("rnn", lambda raw: raw.replace(b"block gru1.u_z 5 5", b"block gru1.u_z 3 3", 1)),
+    ("rnn", _declare_hidden_1e10),
 ], indirect=["small_model"], ids=["blank-line", "n-not-int", "hidden-no-value", "unknown-kind",
                                   "dim-not-int", "block-no-name", "absurd-hidden", "nan-gru",
-                                  "nan-dense"])
+                                  "nan-dense", "hidden-zero", "mlp-n-zero", "gru-block-shape",
+                                  "declared-hidden-1e10"])
 def test_malformed_weight_file_exits_4(tmp_path, small_model, corrupt):
     path = tmp_path / "m.nvmw"
     save_weights(small_model, path, n=6)
