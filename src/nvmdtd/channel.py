@@ -277,8 +277,10 @@ def load_dataset(path, params: ChannelParams | None = None) -> tuple[np.ndarray,
     A malformed file (a missing or non-finite read included) or a params hash
     mismatch raises :class:`FormatError`.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}")
     if not lines:
         raise FormatError(f"{path}: empty dataset file")
     header = lines[0].split()

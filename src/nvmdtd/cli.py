@@ -25,7 +25,6 @@ from .config import (
     channel_params,
     echo_config,
     load_config,
-    noise_model,
     quantizer_spec,
     resolve_config,
     train_config,
@@ -132,17 +131,21 @@ def _labeler(cfg: dict, section: str):
     return NnDetector(model)
 
 
-def _sweep(cfg: dict, section: str, out: Path, **grid) -> list[dict]:
-    """Run the detectors of ``cfg[section]`` over ``grid``; writes ``<section>.csv``."""
+def _sweep(cfg: dict, section: str, out: Path, channels: list[dict],
+           where: str = "channel") -> list[dict]:
+    """Run ``cfg[section]``'s detectors at ``channels``, all built first; writes a CSV."""
+    # A point's CSV labels are its channel keys as the config gives them.
+    points = tuple(({k: ch[k] for k in harness.CSV_HEADER[:4]}, channel_params(ch, where))
+                   for ch in channels)
     sec = cfg[section]
     spec = harness.SweepSpec(
+        points=points,
         detectors=tuple(sec["detectors"]),
         blocks_per_point=sec["blocks"],
         seed=cfg["seed"],
         n=cfg["n"],
         calib_blocks=sec["calib_blocks"],
         quantizer=quantizer_spec(sec["quantizer"]),
-        **grid,
     )
     assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
     return harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv")
@@ -186,15 +189,7 @@ def cmd_analytic(cfg: dict, out: Path | None) -> None:
 
 
 def cmd_eval(cfg: dict, out: Path) -> None:
-    ch = cfg["channel"]
-    rows = _sweep(
-        cfg, "eval", out,
-        ratios=(ch["ratio"],),
-        mu_b_values=(ch["mu_b"],),
-        sigma_b_over_mu1=ch["sigma_b_over_mu1"],
-        noise_model=noise_model(ch["noise_model"]),
-    )
-    for row in rows:
+    for row in _sweep(cfg, "eval", out, [cfg["channel"]]):
         print(f"{row['detector']:<16} ber={row['ber']:.6e} ci={row['ci']:.2e}")
 
 
@@ -217,13 +212,11 @@ def cmd_dtd(cfg: dict, out: Path) -> None:
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
     sw = cfg["sweep"]
-    rows = _sweep(
-        cfg, "sweep", out,
-        ratios=tuple(sw["ratios"]),
-        mu_b_values=tuple(sw["mu_b_values"]),
-        sigma_b_over_mu1=sw["sigma_b_over_mu1"],
-        noise_model=noise_model(sw["noise_model"], "sweep"),
-    )
+    # Each grid point is the channel section with the sweep's keys laid over it.
+    fixed = {k: sw[k] for k in ("sigma_b_over_mu1", "noise_model")}
+    channels = [cfg["channel"] | fixed | {"ratio": ratio, "mu_b": mu_b}
+                for ratio in sw["ratios"] for mu_b in sw["mu_b_values"]]
+    rows = _sweep(cfg, "sweep", out, channels, where="sweep")
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
 
 
@@ -291,7 +284,7 @@ def main(argv=None) -> int:
     except (MissingAssetError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSET
-    except NvmdtdError as exc:
+    except (NvmdtdError, MemoryError) as exc:  # a size no allocation can hold is a bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

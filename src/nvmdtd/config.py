@@ -10,6 +10,7 @@ outputs; rerunning from that echo alone reproduces the run.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -79,10 +80,10 @@ PAPER_EVAL_BLOCKS = 1_000_000
 def load_config(path) -> dict:
     """Read a JSON config; parse errors keep their line and column."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)
@@ -96,7 +97,7 @@ def load_config(path) -> dict:
 # Value types of the keys whose default is null (null itself stays allowed).
 _NULLABLE_TYPES = {
     "minibatch_blocks": int, "train_blocks": int, "hidden": int, "blocks": int,
-    "quantizer": dict, "weights": str, "mlp": str, "rnn": str, "initial_threshold": float,
+    "weights": str, "mlp": str, "rnn": str, "initial_threshold": float,
 }
 # Sizes that nothing downstream range-checks: when set, an integer >= 1.
 _POSITIVE_INTS = {"n", "hidden"}
@@ -134,6 +135,8 @@ def _merge(defaults, user, path: str):
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
         base = defaults[key]
+        if key == "quantizer" and value is not None:  # a set quantizer gets every key
+            base = dataclasses.asdict(QuantizerSpec(bits=3))
         if isinstance(base, dict):
             out[key] = _merge(base, value, here)
         elif isinstance(base, list) and base and isinstance(base[0], dict):
@@ -177,23 +180,21 @@ def noise_model(value: str, where: str = "channel") -> NoiseModel:
         )
 
 
-def channel_params(section: dict) -> ChannelParams:
-    """Build ChannelParams from a resolved channel section."""
+def channel_params(section: dict, where: str = "channel") -> ChannelParams:
+    """The channel of a resolved channel section; errors name ``<where>.noise_model``."""
     return ChannelParams.from_ratio(
         ratio=section["ratio"],
         mu_b=section["mu_b"],
         sigma_b_over_mu1=section["sigma_b_over_mu1"],
-        noise_model=noise_model(section["noise_model"]),
+        noise_model=noise_model(section["noise_model"], where),
         mu0=section["mu0"],
         mu1=section["mu1"],
     )
 
 
-def quantizer_spec(section) -> QuantizerSpec | None:
-    if section is None:
-        return None
-    merged = _merge({"bits": 3, "lo": 0.5, "hi": 2.5}, section, "quantizer")
-    return QuantizerSpec(bits=merged["bits"], lo=merged["lo"], hi=merged["hi"])
+def quantizer_spec(section: dict | None) -> QuantizerSpec | None:
+    """The quantizer of a resolved ``quantizer`` key; None reads unquantized."""
+    return None if section is None else QuantizerSpec(**section)
 
 
 def train_config(cfg: dict) -> TrainConfig:

@@ -114,7 +114,7 @@ class NnDetector:
 
 
 class GenieDetector:
-    """Test-only detector that returns the true bits; isolates calibration from detection."""
+    """Returns the true bits (``--genie``, the ``genie`` row); isolates calibration."""
 
     def __call__(self, y: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         if x is None:

@@ -2,11 +2,12 @@
 
 Every estimate here is one serial pass over chunks of blocks, each block
 drawn from its own random stream keyed by ``(seed, block index)``, so
-results do not depend on the chunk size.  A sweep makes one Monte-Carlo
-pass per operating point: each chunk of evaluation blocks is sampled once
-and scored by every simulated detector of that point, and the point's DTD
-rows share one sample of calibration blocks, so the rows of a point are a
-paired comparison on the same blocks.  A recalibration session samples
+results do not depend on the chunk size.  A sweep evaluates the operating
+points it is given, one Monte-Carlo pass per point: each chunk of
+evaluation blocks is sampled once and scored by every simulated detector
+of that point, and the point's DTD rows share one sample of calibration
+blocks, so the rows of a point are a paired comparison on the same
+blocks.  A recalibration session samples
 its whole schedule once, one matrix per segment, and labels each
 recalibration window with one call of the network.  CSV outputs echo
 every parameter per row and follow the fixed schema::
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .channel import ChannelParams, NoiseModel, QuantizerSpec, derive_seed, sample_block_matrix
+from .channel import ChannelParams, QuantizerSpec, derive_seed, sample_block_matrix
 from .detectors import DtdResult, GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from .errors import MissingAssetError, ParameterError
 from .nn.training import TrainConfig, TrainResult, train
@@ -98,68 +99,54 @@ def dtd_calibrate(detector, params: ChannelParams, m_blocks: int, seed: int,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of channel operating points times a list of detectors."""
+    """Operating points, each ``(CSV labels, channel built from them)``, times detectors."""
 
-    ratios: tuple[float, ...]
+    points: tuple[tuple[dict, ChannelParams], ...]
     detectors: tuple[str, ...]
     blocks_per_point: int
     seed: int
-    mu_b_values: tuple[float, ...] = (0.0,)
-    sigma_b_over_mu1: float = 0.0
-    noise_model: NoiseModel = NoiseModel.GAUSSIAN
     n: int = 71
     calib_blocks: int = 100
     quantizer: QuantizerSpec | None = None
 
     def __post_init__(self):
-        if not self.ratios or not self.mu_b_values or not self.detectors:
-            raise ParameterError("sweep grids and detector list must be non-empty")
+        if not self.points or not self.detectors:
+            raise ParameterError("sweep points and detector list must be non-empty")
         if self.blocks_per_point < 1 or self.calib_blocks < 1:
             raise ParameterError("block counts must be >= 1")
 
 
 def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> list[dict]:
-    """One row per (operating point, detector); optionally written as CSV.
+    """One row per (operating point, detector) of ``spec``; optionally written as CSV.
 
+    Point ``i`` runs on ``derive_seed(spec.seed, i)``: its channel as given, its labels
+    (the first four CSV columns) at the head of its rows.
     ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
     Missing assets produce NaN rows instead of aborting the sweep.  The
     simulated rows of a point are scored in one pass over the same blocks.
     """
     assets = assets or {}
     rows = []
-    point_idx = 0
-    for ratio in spec.ratios:
-        for mu_b in spec.mu_b_values:
-            params = ChannelParams.from_ratio(
-                ratio, mu_b=mu_b, sigma_b_over_mu1=spec.sigma_b_over_mu1,
-                noise_model=spec.noise_model,
-            )
-            point_seed = derive_seed(spec.seed, point_idx)
-            eval_seed = derive_seed(point_seed, 0)
-            calib_seed = derive_seed(point_seed, 1)
-            refs = analytic.reference_thresholds(params)
-            base = {
-                "ratio": ratio,
-                "mu_b": mu_b,
-                "sigma_b_over_mu1": spec.sigma_b_over_mu1,
-                "noise_model": spec.noise_model.value,
-            }
-            # Calibration blocks are sampled on first use and shared by the DTD rows.
-            calibration_blocks = functools.cache(functools.partial(
-                sample_block_matrix, params, spec.n, spec.calib_blocks, calib_seed))
-            simulated = []
-            for name in spec.detectors:
-                row, det = _detector_row(name, params, refs, assets, spec, calibration_blocks)
-                rows.append(base | row)
-                if det is not None:
-                    simulated.append((rows[-1], det))
-            if simulated:
-                estimates = estimate_ber_paired([det for _, det in simulated], params,
-                                                spec.blocks_per_point, eval_seed, n=spec.n)
-                for (row, _), est in zip(simulated, estimates):
-                    row.update(errors=est.errors, bits=est.bits, ber=est.ber,
-                               ci=est.ci_half_width)
-            point_idx += 1
+    for point_idx, (labels, params) in enumerate(spec.points):
+        point_seed = derive_seed(spec.seed, point_idx)
+        eval_seed = derive_seed(point_seed, 0)
+        calib_seed = derive_seed(point_seed, 1)
+        refs = analytic.reference_thresholds(params)
+        # Calibration blocks are sampled on first use and shared by the DTD rows.
+        calibration_blocks = functools.cache(functools.partial(
+            sample_block_matrix, params, spec.n, spec.calib_blocks, calib_seed))
+        simulated = []
+        for name in spec.detectors:
+            row, det = _detector_row(name, params, refs, assets, spec, calibration_blocks)
+            rows.append(labels | row)
+            if det is not None:
+                simulated.append((rows[-1], det))
+        if simulated:
+            estimates = estimate_ber_paired([det for _, det in simulated], params,
+                                            spec.blocks_per_point, eval_seed, n=spec.n)
+            for (row, _), est in zip(simulated, estimates):
+                row.update(errors=est.errors, bits=est.bits, ber=est.ber,
+                           ci=est.ci_half_width)
     if csv_path is not None:
         write_sweep_csv(csv_path, rows)
     return rows

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import ChannelParams, derive_seed, sample_block_matrix
+from ..detectors import hard_decision
 from ..errors import DivergenceError, ParameterError
 from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, create_model
 from .optim import AdamState, adam_step
@@ -73,8 +74,7 @@ def validation_ber(model, x_bits: np.ndarray, y_reads: np.ndarray,
     errors = 0
     total = x_bits.size
     for start in range(0, x_bits.shape[0], chunk_blocks):
-        soft = model.forward(y_reads[start:start + chunk_blocks])
-        hard = soft > 0.5
+        hard = hard_decision(model.forward(y_reads[start:start + chunk_blocks]))
         errors += int(np.count_nonzero(hard != x_bits[start:start + chunk_blocks]))
     return errors / total
 

@@ -242,6 +242,12 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="read in block 0"):
             load_dataset(path)
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"nvmdtd-v1 2 1 0\n01\n1.0 \xff\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_dataset(path)
+
     def test_save_rejects_shape_mismatch(self, tmp_path, offset_channel):
         path = tmp_path / "data.txt"
         with pytest.raises(ParameterError, match="one shape"):

@@ -1,4 +1,8 @@
 import argparse
+import ast
+import csv
+import importlib
+import io
 import json
 import os
 import re
@@ -106,6 +110,46 @@ class TestResolveConfig:
         resolve_config(json.loads(block))
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_flag_table_matches_flag_keys(self):
+        """Each row's flags, commands and keys are those of the parser and ``_FLAG_KEYS``."""
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {command: {a.dest for a in parser._actions}
+                 for command, parser in subparsers.choices.items()}
+        table = re.search(r"\| flag \| commands \| config key \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                          _README.read_text()).group(1)
+        seen = []
+        for line in table.splitlines():
+            flags, commands, keys = line.strip("|").split("|")
+            flags = [f.replace("-", "_") for f in re.findall(r"`--([\w-]+)`", flags)]
+            commands = (list(dests) if commands.strip() == "all"
+                        else re.findall(r"`(\w+)`", commands))
+            for dest in flags:
+                assert commands == [c for c in dests if dest in dests[c]], dest
+            expected = [_FLAG_KEYS[dest].format(command=c) for dest in flags for c in commands]
+            assert re.findall(r"`([\w.]+)`", keys) == list(dict.fromkeys(expected)), line
+            seen += flags
+        assert sorted(seen) == sorted(_FLAG_KEYS)
+
+    def test_python_blocks_import_existing_names(self):
+        blocks = re.findall(r"```python\n(.*?)```", _README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nvmdtd":
+                    module = importlib.import_module(node.module)
+                    for alias in node.names:
+                        assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.split(".")[0] == "nvmdtd":
+                            importlib.import_module(alias.name)
+
+
 @pytest.fixture()
 def tiny_train_config(tmp_path):
     doc = {
@@ -149,6 +193,9 @@ _RERUN_CASES = [
     ("session", {"n": 8, "session": {"total_blocks": 200, "m_blocks": 20,
                                      "trigger": {"kind": "periodic", "period": 50}}},
      ["--weights", "{weights}"]),
+    ("sweep", {"n": 8, "sweep": {"ratios": [0.1], "blocks": 50, "detectors": ["rnn"],
+                                 "quantizer": {"bits": 4}}},
+     ["--weights-rnn", "{weights}"]),
 ]
 
 
@@ -178,6 +225,49 @@ class TestCliTrain:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "bad.json:1:" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "x": "\xff"}')
+        rc = main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    # Each request needs more than the 128 TiB address space of a 64-bit
+    # process, so its first allocation fails before any memory is touched.
+    @pytest.mark.parametrize("argv, doc", [
+        (["train"], {"n": 8, "train": {"kind": "mlp", "hidden": 10 ** 15, "epochs": 1,
+                                       "train_blocks": 4, "validation_blocks": 4}}),
+        (["gen"], {"gen": {"blocks": 10 ** 15}}),
+        (["session", "--genie"], {"session": {"total_blocks": 10 ** 15}}),
+    ])
+    def test_request_beyond_address_space_exits_2(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    @pytest.mark.parametrize("quantizer, message", [
+        ({"bitz": 3}, "unknown config key: eval.quantizer.bitz"),
+        ({"bits": 3.5}, "eval.quantizer.bits must be an integer"),
+        ({"lo": "0.5"}, "eval.quantizer.lo must be a number"),
+        ("3", "eval.quantizer: expected an object"),
+    ])
+    def test_bad_quantizer_key_exits_2(self, tmp_path, capsys, command, quantizer, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"eval": {"quantizer": quantizer}}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_quantizer_echo_is_resolved(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gen": {"blocks": 2}, "eval": {"quantizer": {"bits": 4}},
+                                   "sweep": {"quantizer": {"hi": 3.0}}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        echoed = json.loads((tmp_path / "o" / "config-resolved.json").read_text())
+        assert echoed["eval"]["quantizer"] == {"bits": 4, "lo": 0.5, "hi": 2.5}
+        assert echoed["sweep"]["quantizer"] == {"bits": 3, "lo": 0.5, "hi": 3.0}
 
     @pytest.mark.parametrize("n", [7.5, 0, "71", True])
     def test_non_integer_n_exits_2(self, tmp_path, capsys, n):
@@ -468,6 +558,44 @@ class TestCliSweepSession:
         assert len(lines) == 3
         rnn_row = next(l for l in lines if ",rnn," in l)
         assert "nan" in rnn_row
+
+    def test_eval_and_sweep_honour_mu0_mu1(self, tmp_path, capsys):
+        detectors = ["midpoint", "opt-no-offset", "opt-mean-offset", "opt-full"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "n": 16, "channel": {"mu0": 1.5, "mu1": 3.0, "ratio": 0.1},
+            "eval": {"blocks": 200, "detectors": detectors},
+            "sweep": {"ratios": [0.1], "blocks": 200, "detectors": detectors},
+        }))
+        assert main(["analytic", "--config", str(cfg)]) == 0
+        printed = {line.split()[0]: line.split()[2]
+                   for line in capsys.readouterr().out.splitlines()[2:]}
+        tables = {}
+        for command in ("eval", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            tables[command] = (out / f"{command}.csv").read_text()
+        # The sweep's one point is the eval channel: the same rows on the same blocks.
+        assert tables["sweep"] == tables["eval"]
+        rows = {row["detector"]: row for row in csv.DictReader(io.StringIO(tables["eval"]))}
+        assert float(rows["midpoint"]["r_th"]) == 2.25
+        for name in detectors[1:]:
+            assert f"{float(rows[name]['r_th']):.6f}" == printed[name], name
+
+    @pytest.mark.parametrize("ratios, message", [([0.1, -0.1], "variation ratio must be positive"),
+                                                 ([], "non-empty")])
+    def test_bad_grid_exits_2_before_any_simulation(self, tmp_path, capsys, monkeypatch,
+                                                    ratios, message):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before every point was built")
+
+        monkeypatch.setattr(harness, "sample_block_matrix", never)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sweep": {"ratios": ratios, "blocks": 10}}))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                   "--weights-rnn", str(tmp_path / "missing.nvmw")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_sweep_echoes_weight_flags(self, tmp_path, trained_tiny_mlp):
         params, model = trained_tiny_mlp

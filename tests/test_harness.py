@@ -12,6 +12,7 @@ from nvmdtd.analytic import (
     optimal_threshold_closed_form,
 )
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed, sample_block_matrix
+from nvmdtd.config import DEFAULT_CONFIG, channel_params
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.errors import ParameterError
 from nvmdtd.harness import (
@@ -31,6 +32,14 @@ from nvmdtd.harness import (
 )
 from nvmdtd.nn.models import create_model
 from nvmdtd.nn.training import TrainConfig
+
+
+def _points(ratios, mu_b_values=(0.0,), sigma_b_over_mu1=0.0, noise_model="gaussian"):
+    """Sweep points over a ratio x mu_b grid of the default channel, ratio outer."""
+    fixed = {"sigma_b_over_mu1": sigma_b_over_mu1, "noise_model": noise_model}
+    channels = [DEFAULT_CONFIG["channel"] | fixed | {"ratio": ratio, "mu_b": mu_b}
+                for ratio in ratios for mu_b in mu_b_values]
+    return tuple(({k: ch[k] for k in CSV_HEADER[:4]}, channel_params(ch)) for ch in channels)
 
 
 class TestBerEstimate:
@@ -91,8 +100,7 @@ class TestDtdCalibrate:
 class TestRunSweep:
     def test_row_grid_shape_and_schema(self, tmp_path):
         spec = SweepSpec(
-            ratios=(0.08, 0.12),
-            mu_b_values=(0.0, -0.2),
+            points=_points((0.08, 0.12), (0.0, -0.2)),
             detectors=("midpoint", "opt-full", "optimum-bound"),
             blocks_per_point=500,
             seed=3,
@@ -108,7 +116,7 @@ class TestRunSweep:
 
     def test_mc_tracks_analytic_bound(self):
         spec = SweepSpec(
-            ratios=(0.10, 0.12),
+            points=_points((0.10, 0.12)),
             detectors=("opt-full", "optimum-bound"),
             blocks_per_point=20_000,
             seed=11,
@@ -125,9 +133,7 @@ class TestRunSweep:
 
     def test_offset_dominance_between_reference_rows(self):
         spec = SweepSpec(
-            ratios=(0.10,),
-            mu_b_values=(-0.2,),
-            sigma_b_over_mu1=0.07,
+            points=_points((0.10,), (-0.2,), 0.07),
             detectors=("opt-no-offset", "opt-mean-offset", "opt-full"),
             blocks_per_point=30_000,
             seed=13,
@@ -138,7 +144,7 @@ class TestRunSweep:
 
     def test_missing_weights_marked_not_fatal(self):
         spec = SweepSpec(
-            ratios=(0.10,),
+            points=_points((0.10,)),
             detectors=("midpoint", "rnn", "dtd-rnn"),
             blocks_per_point=200,
             seed=7,
@@ -151,7 +157,7 @@ class TestRunSweep:
     def test_nn_and_dtd_rows_with_trained_asset(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp
         spec = SweepSpec(
-            ratios=(0.02,),
+            points=_points((0.02,)),
             detectors=("mlp", "dtd-mlp", "genie"),
             blocks_per_point=300,
             seed=19,
@@ -165,10 +171,7 @@ class TestRunSweep:
 
     def test_beta_sweep_full_reference_is_exact_optimum(self):
         spec = SweepSpec(
-            ratios=(0.10,),
-            mu_b_values=(-0.2,),
-            sigma_b_over_mu1=0.07,
-            noise_model=NoiseModel.CENTERED_BETA,
+            points=_points((0.10,), (-0.2,), 0.07, NoiseModel.CENTERED_BETA.value),
             detectors=("opt-mean-offset", "opt-full", "optimum-bound"),
             blocks_per_point=5_000,
             seed=23,
@@ -187,9 +190,7 @@ class TestRunSweep:
     def test_rows_equal_standalone_estimates(self, trained_tiny_mlp):
         _, model = trained_tiny_mlp
         spec = SweepSpec(
-            ratios=(0.10, 0.12),
-            mu_b_values=(-0.2,),
-            sigma_b_over_mu1=0.04,
+            points=_points((0.10, 0.12), (-0.2,), 0.04),
             detectors=("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full",
                        "optimum-bound", "genie", "mlp", "dtd-mlp"),
             blocks_per_point=300,
@@ -197,7 +198,8 @@ class TestRunSweep:
             n=8,
         )
         rows = run_sweep(spec, assets={"mlp": model})
-        for point_idx, ratio in enumerate(spec.ratios):
+        for point_idx, (labels, _) in enumerate(spec.points):
+            ratio = labels["ratio"]
             p = ChannelParams.from_ratio(ratio, mu_b=-0.2, sigma_b_over_mu1=0.04)
             eval_seed = derive_seed(derive_seed(spec.seed, point_idx), 0)
             point = {row["detector"]: row for row in rows if row["ratio"] == ratio}
@@ -214,9 +216,7 @@ class TestRunSweep:
         rng = np.random.default_rng(3)
         assets = {kind: create_model(kind, n, rng, hidden=4) for kind in ("mlp", "rnn")}
         spec = SweepSpec(
-            ratios=(0.10,),
-            mu_b_values=(-0.2,),
-            sigma_b_over_mu1=0.04,
+            points=_points((0.10,), (-0.2,), 0.04),
             detectors=("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full",
                        "dtd-mlp", "dtd-rnn"),
             blocks_per_point=250,
@@ -235,12 +235,20 @@ class TestRunSweep:
         monkeypatch.setattr(analytic, "sample_block_matrix", counting)
         for noise in NoiseModel:
             sampled.clear()
-            rows = run_sweep(dataclasses.replace(spec, noise_model=noise), assets=assets)
+            points = _points((0.10,), (-0.2,), 0.04, noise.value)
+            rows = run_sweep(dataclasses.replace(spec, points=points), assets=assets)
             assert len(rows) == 6 and all(row["bits"] == 250 * n for row in rows)
             assert sum(sampled) == spec.blocks_per_point + spec.calib_blocks, noise
 
+    @pytest.mark.parametrize("points, detectors", [((), ("midpoint",)),
+                                                    (_points((0.1,)), ())])
+    def test_empty_points_or_detectors_rejected(self, points, detectors):
+        with pytest.raises(ParameterError, match="non-empty"):
+            SweepSpec(points=points, detectors=detectors, blocks_per_point=10, seed=1)
+
     def test_unknown_detector_rejected(self):
-        spec = SweepSpec(ratios=(0.1,), detectors=("nonsense",), blocks_per_point=10, seed=1)
+        spec = SweepSpec(points=_points((0.1,)), detectors=("nonsense",), blocks_per_point=10,
+                         seed=1)
         with pytest.raises(ParameterError):
             run_sweep(spec)
 
