@@ -223,7 +223,8 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 def cmd_session(cfg: dict, out: Path) -> None:
     se = cfg["session"]
     segments = tuple(
-        (seg["start_block"], channel_params(seg["channel"])) for seg in se["segments"]
+        (seg["start_block"], channel_params(seg["channel"], f"session.segments[{i}].channel"))
+        for i, seg in enumerate(se["segments"])
     )
     schedule = harness.DriftSchedule(
         segments=segments, total_blocks=se["total_blocks"],

@@ -13,15 +13,23 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; never overflows for finite input."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic; never overflows for finite input.
+
+    With e = exp(-|z|) in [0, 1] this is 1 / (1 + e) for z >= 0 and
+    e / (1 + e) otherwise, so no exponent is positive; max(e, z >= 0) picks
+    the numerator.  ``out`` may be ``z`` itself.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    nonneg = z >= 0
+    if out is None:
+        out = np.empty_like(z)
+    den = np.negative(z, out=np.empty_like(z))
+    # minimum returns its first operand when both are NaN and maximum passes
+    # a NaN on, so a NaN input comes out with its sign.
+    e = np.exp(np.minimum(z, den, out=out), out=out)
+    np.add(e, 1.0, out=den)
+    return np.divide(np.maximum(e, nonneg, out=e), den, out=e)
 
 
 def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,6 +24,27 @@ blocks in ``params`` and share one protocol: a ``kind`` name,
 Gradients are computed analytically (backpropagation through time for the
 recurrent model) and are averaged over the blocks of a batch; every test
 of them is against central finite differences.
+
+The recurrent kernels are bit-identical, at a fixed BLAS thread count, to
+the straightforward batch-major per-step recurrence kept as the reference
+in the tests, so trained weights and every output are unchanged by their
+layout.  The rules that keep the bits:
+
+* The layers pass time-major (N, B, h) state buffers to each other and
+  work per step in preallocated step buffers (``out=`` matmuls, in-place
+  ``+=``: IEEE addition commutes).  The z and r gates share a stacked
+  (2, B, h) step, so one add and one sigmoid serve both.  The
+  step-independent backward factors ``1 - z``, ``1 - r``, ``c - h_prev``
+  and ``1 - c*c`` are formed in bulk.
+* Every GEMM keeps the reference's operands: the recurrent products are
+  ``h @ U.T`` (forward) and ``a @ U`` (backward) on a (B, h) step, never
+  a copy of ``U.T`` or fused ``[U_z; U_r]``.  The input projections,
+  ``d_x`` and the head matvec run on batch-major views (B, N, .), one
+  BLAS call per block; flattening them to one (N*B, k) GEMM can pick
+  another BLAS kernel (it does at N = 8, B = 10) and change the bits.
+* Weight gradients sum their rows in batch-major order.
+* At inference, each gate has one step-sized scratch buffer; only
+  training keeps the full-length gate values.
 """
 
 from __future__ import annotations
@@ -134,9 +155,9 @@ class RnnModel(_Network):
         """
         p = self.params
         yb, was_1d = _as_batch(y)
-        h1, _ = _gru_layer_forward(_gates(p, "gru1"), yb[:, :, None], want_cache=False)
+        h1, _ = _gru_layer_forward(_gates(p, "gru1"), yb.T[:, :, None], want_cache=False)
         h2, _ = _gru_layer_forward(_gates(p, "gru2"), h1, want_cache=False)
-        out = sigmoid(h2 @ p["head.weights"][0] + p["head.bias"][0])
+        out = sigmoid(h2.transpose(1, 0, 2) @ p["head.weights"][0] + p["head.bias"][0])
         return out[0] if was_1d else out
 
     def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
@@ -147,12 +168,13 @@ class RnnModel(_Network):
         if yb.shape != tb.shape:
             raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
         gru1, gru2 = _gates(p, "gru1"), _gates(p, "gru2")
-        h1, cache1 = _gru_layer_forward(gru1, yb[:, :, None], want_cache=True)
+        h1, cache1 = _gru_layer_forward(gru1, yb.T[:, :, None], want_cache=True)
         h2, cache2 = _gru_layer_forward(gru2, h1, want_cache=True)
+        h2 = h2.transpose(1, 0, 2)
         w_out = p["head.weights"][0]
         o = sigmoid(h2 @ w_out + p["head.bias"][0])
         g_s = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
-        d_h2 = g_s[:, :, None] * w_out
+        d_h2 = g_s.T[:, :, None] * w_out
         g2, d_h1 = _gru_layer_backward(gru2, cache2, d_h2)
         g1, _ = _gru_layer_backward(gru1, cache1, d_h1)
         grads = {f"gru1.{gate}": g for gate, g in g1.items()}
@@ -200,85 +222,102 @@ def _gates(params: dict, layer: str) -> dict[str, np.ndarray]:
 
 
 def _gru_layer_forward(layer: dict, x_seq: np.ndarray, want_cache: bool):
-    """Run one recurrent layer over x_seq of shape (B, N, in).
+    """Run one recurrent layer over the time-major x_seq of shape (N, B, in).
 
-    Returns the per-step hidden states (B, N, h) and, when requested, the
-    per-step gate values needed by the backward pass.
+    Returns the time-major hidden states (N, B, h) and, when requested, the
+    gate values the backward pass needs.  Without a cache, the gates of
+    every step reuse one set of step buffers.
     """
-    nb, nt, _ = x_seq.shape
+    nt, nb, _ = x_seq.shape
     h_dim = layer["u_z"].shape[0]
-    # Input projections for every step at once; only the recurrent half of
-    # each gate has to run sequentially.
-    xz = x_seq @ layer["w_z"].T
-    xr = x_seq @ layer["w_r"].T
-    xh = x_seq @ layer["w_h"].T
-    outputs = np.empty((nb, nt, h_dim))
+    # Input projections for every step at once, one GEMM per block on the
+    # batch-major views, written time-major; only the recurrent half of each
+    # gate has to run sequentially.
+    xzr = np.empty((nt, 2, nb, h_dim))
+    xh = np.empty((nt, nb, h_dim))
+    for w, proj in (("w_z", xzr[:, 0]), ("w_r", xzr[:, 1]), ("w_h", xh)):
+        np.matmul(x_seq.transpose(1, 0, 2), layer[w].T, out=proj.transpose(1, 0, 2))
+    b_zr = np.stack([layer["b_z"], layer["b_r"]])[:, None, :]
+    out = np.empty((nt, nb, h_dim))
     cache = None
     if want_cache:
-        cache = {
-            "x": x_seq,
-            "z": np.empty((nb, nt, h_dim)),
-            "r": np.empty((nb, nt, h_dim)),
-            "c": np.empty((nb, nt, h_dim)),
-            "h_prev": np.empty((nb, nt, h_dim)),
-        }
+        cache = {"x": x_seq, "out": out,
+                 "zr": np.empty((nt, 2, nb, h_dim)), "c": np.empty((nt, nb, h_dim))}
+    else:
+        zr, c = np.empty((2, nb, h_dim)), np.empty((nb, h_dim))
+    prod = np.empty((nb, h_dim))
+    u_z, u_r, u_h = layer["u_z"].T, layer["u_r"].T, layer["u_h"].T
     h = np.zeros((nb, h_dim))
     for t in range(nt):
-        z = sigmoid(xz[:, t] + h @ layer["u_z"].T + layer["b_z"])
-        r = sigmoid(xr[:, t] + h @ layer["u_r"].T + layer["b_r"])
-        c = np.tanh(xh[:, t] + (r * h) @ layer["u_h"].T + layer["b_h"])
-        h_new = (1.0 - z) * h + z * c
+        h_new = out[t]
         if want_cache:
-            cache["z"][:, t] = z
-            cache["r"][:, t] = r
-            cache["c"][:, t] = c
-            cache["h_prev"][:, t] = h
-        outputs[:, t] = h_new
+            zr, c = cache["zr"][t], cache["c"][t]
+        z, r = zr
+        np.matmul(h, u_z, out=z)
+        np.matmul(h, u_r, out=r)
+        zr += xzr[t]
+        zr += b_zr
+        sigmoid(zr, out=zr)
+        np.multiply(r, h, out=prod)
+        np.matmul(prod, u_h, out=c)
+        c += xh[t]
+        c += layer["b_h"]
+        np.tanh(c, out=c)
+        np.subtract(1.0, z, out=prod)
+        prod *= h
+        np.multiply(z, c, out=h_new)
+        h_new += prod
         h = h_new
-    return outputs, cache
+    return out, cache
 
 
 def _gru_layer_backward(layer: dict, cache: dict, d_out: np.ndarray):
     """Backpropagate through one recurrent layer.
 
-    ``d_out[:, t]`` is the loss gradient at the layer's step-t output.  The
-    recurrence is unrolled in reverse, carrying the gradient through the
-    previous hidden state; weight gradients are then formed in one matmul
-    per block from the accumulated per-step gate gradients.
+    ``d_out[t]`` is the time-major (B, h) loss gradient at the layer's
+    step-t output.  The recurrence is unrolled in reverse, carrying the
+    gradient through the previous hidden state; weight gradients are then
+    formed in one matmul per block from the accumulated per-step gate
+    gradients.  Returns those gradients and the time-major input gradient.
     """
-    z, r, c, h_prev, x_seq = cache["z"], cache["r"], cache["c"], cache["h_prev"], cache["x"]
-    nb, nt, h_dim = z.shape
-    da_z = np.empty((nb, nt, h_dim))
-    da_r = np.empty((nb, nt, h_dim))
-    da_c = np.empty((nb, nt, h_dim))
+    zr, c, x_seq = cache["zr"], cache["c"], cache["x"]
+    z, r = zr[:, 0], zr[:, 1]
+    nt, nb, h_dim = c.shape
+    h_prev = np.concatenate((np.zeros((1, nb, h_dim)), cache["out"][:-1]))
+    # The step-independent factors, in bulk before the reverse loop.
+    one_minus_zr = 1.0 - zr
+    c_minus_h = c - h_prev
+    one_minus_c2 = 1.0 - c * c
+    da_zr = np.empty((nt, 2, nb, h_dim))
+    da_c = np.empty((nt, nb, h_dim))
     carry = np.zeros((nb, h_dim))
+    d_zr = np.empty((2, nb, h_dim))
+    dh, prod = np.empty((nb, h_dim)), np.empty((nb, h_dim))
     for t in range(nt - 1, -1, -1):
-        dh = d_out[:, t] + carry
-        zt, rt, ct, hp = z[:, t], r[:, t], c[:, t], h_prev[:, t]
-        dz = dh * (ct - hp)
-        dc = dh * zt
-        dhp = dh * (1.0 - zt)
-        ac = dc * (1.0 - ct * ct)
-        drh = ac @ layer["u_h"]
-        dr = drh * hp
-        dhp = dhp + drh * rt
-        az = dz * zt * (1.0 - zt)
-        dhp = dhp + az @ layer["u_z"]
-        ar = dr * rt * (1.0 - rt)
-        dhp = dhp + ar @ layer["u_r"]
-        da_z[:, t] = az
-        da_r[:, t] = ar
-        da_c[:, t] = ac
-        carry = dhp
-    flat = lambda a: a.reshape(-1, a.shape[-1])
-    rz, rr, rc = flat(da_z), flat(da_r), flat(da_c)
-    xs = flat(x_seq)
-    hp_flat = flat(h_prev)
-    rh_flat = flat(r * h_prev)
+        np.add(d_out[t], carry, out=dh)
+        np.multiply(dh, c_minus_h[t], out=d_zr[0])
+        ac = np.multiply(dh, z[t], out=da_c[t])
+        ac *= one_minus_c2[t]
+        np.multiply(dh, one_minus_zr[t, 0], out=carry)
+        drh = np.matmul(ac, layer["u_h"], out=prod)
+        np.multiply(drh, h_prev[t], out=d_zr[1])
+        drh *= r[t]
+        carry += drh
+        a_zr = np.multiply(d_zr, zr[t], out=da_zr[t])
+        a_zr *= one_minus_zr[t]
+        carry += np.matmul(a_zr[0], layer["u_z"], out=prod)
+        carry += np.matmul(a_zr[1], layer["u_r"], out=prod)
+    da_z, da_r = da_zr[:, 0], da_zr[:, 1]
+    batch_major = lambda a: a.transpose(1, 0, 2)
+    # Weight gradients sum over rows in batch-major order.
+    rows = lambda a: batch_major(a).reshape(nb * nt, -1)
+    rz, rr, rc = rows(da_z), rows(da_r), rows(da_c)
+    xs, hp_flat, rh_flat = rows(x_seq), rows(h_prev), rows(r * h_prev)
     grads = {
         "w_z": rz.T @ xs, "u_z": rz.T @ hp_flat, "b_z": rz.sum(axis=0),
         "w_r": rr.T @ xs, "u_r": rr.T @ hp_flat, "b_r": rr.sum(axis=0),
         "w_h": rc.T @ xs, "u_h": rc.T @ rh_flat, "b_h": rc.sum(axis=0),
     }
-    d_x = da_z @ layer["w_z"] + da_r @ layer["w_r"] + da_c @ layer["w_h"]
-    return grads, d_x
+    d_x = (batch_major(da_z) @ layer["w_z"] + batch_major(da_r) @ layer["w_r"]
+           + batch_major(da_c) @ layer["w_h"])
+    return grads, batch_major(d_x)

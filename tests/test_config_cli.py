@@ -420,11 +420,15 @@ class TestCliTrain:
     @pytest.mark.parametrize("command, doc, key", [
         ("eval", {"channel": {"noise_model": "cauchy"}}, "channel.noise_model"),
         ("sweep", {"sweep": {"noise_model": "cauchy"}}, "sweep.noise_model"),
+        ("session", {"session": {"segments": [{"start_block": 0,
+                                               "channel": {"noise_model": "cauchy"}}]}},
+         "session.segments[0].channel.noise_model"),
     ])
     def test_unknown_noise_model_exits_2(self, tmp_path, capsys, command, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        genie = ["--genie"] if command == "session" else []
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")] + genie)
         assert rc == 2
         assert f"{key} must be one of" in capsys.readouterr().err
 

@@ -21,6 +21,29 @@ class TestActivations:
         z = np.linspace(-20, 20, 101)
         np.testing.assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-14)
 
+    def test_sigmoid_bits_match_masked_formula(self):
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                          710.0, -710.0, 745.0, -745.0, 1e-320, -1e-320])
+        rng = np.random.default_rng(3)
+        draws = np.concatenate([rng.normal(0.0, scale, 20000) for scale in (1.0, 10.0, 300.0)])
+        for z in (edges, draws, draws.reshape(300, 200)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = masked(z).tobytes()
+                assert sigmoid(z).tobytes() == expected
+                out = np.empty_like(z)
+                assert sigmoid(z, out=out) is out and out.tobytes() == expected
+                in_place = z.copy()
+                sigmoid(in_place, out=in_place)
+            assert in_place.tobytes() == expected
+
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 

@@ -1,8 +1,15 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nvmdtd.errors import ParameterError
+from nvmdtd.nn.layers import sigmoid
 from nvmdtd.nn.models import create_model
+from nvmdtd.nn.weights_io import load_weights
+
+STORED_RNN_WEIGHTS = Path(__file__).resolve().parents[1] / "perfbench" / "weights" / "weights-rnn.nvmw"
 
 GRAD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -162,3 +169,114 @@ class TestGradients:
         model = create_model("mlp", 4, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             model.value_and_grad(np.zeros((2, 4)), np.zeros((3, 4)))
+
+
+def _reference_gru_forward(layer, x_seq):
+    """Straightforward batch-major recurrence over x_seq (B, N, in).
+
+    ``sigmoid`` is pinned bit for bit to the masked formula in test_nn_layers.
+    """
+    nb, nt, _ = x_seq.shape
+    h_dim = layer["u_z"].shape[0]
+    xz, xr, xh = x_seq @ layer["w_z"].T, x_seq @ layer["w_r"].T, x_seq @ layer["w_h"].T
+    cache = {name: np.empty((nb, nt, h_dim)) for name in ("z", "r", "c", "h_prev", "out")}
+    h = np.zeros((nb, h_dim))
+    for t in range(nt):
+        z = sigmoid(xz[:, t] + h @ layer["u_z"].T + layer["b_z"])
+        r = sigmoid(xr[:, t] + h @ layer["u_r"].T + layer["b_r"])
+        c = np.tanh(xh[:, t] + (r * h) @ layer["u_h"].T + layer["b_h"])
+        h_new = (1.0 - z) * h + z * c
+        for name, value in (("z", z), ("r", r), ("c", c), ("h_prev", h), ("out", h_new)):
+            cache[name][:, t] = value
+        h = h_new
+    cache["x"] = x_seq
+    return cache["out"], cache
+
+
+def _reference_gru_backward(layer, cache, d_out):
+    z, r, c, h_prev, x_seq = cache["z"], cache["r"], cache["c"], cache["h_prev"], cache["x"]
+    nb, nt, h_dim = z.shape
+    da = {gate: np.empty((nb, nt, h_dim)) for gate in "zrh"}
+    carry = np.zeros((nb, h_dim))
+    for t in range(nt - 1, -1, -1):
+        dh = d_out[:, t] + carry
+        zt, rt, ct, hp = z[:, t], r[:, t], c[:, t], h_prev[:, t]
+        dz = dh * (ct - hp)
+        dc = dh * zt
+        dhp = dh * (1.0 - zt)
+        ac = dc * (1.0 - ct * ct)
+        drh = ac @ layer["u_h"]
+        dr = drh * hp
+        dhp = dhp + drh * rt
+        az = dz * zt * (1.0 - zt)
+        dhp = dhp + az @ layer["u_z"]
+        ar = dr * rt * (1.0 - rt)
+        dhp = dhp + ar @ layer["u_r"]
+        da["z"][:, t], da["r"][:, t], da["h"][:, t] = az, ar, ac
+        carry = dhp
+    flat = lambda a: a.reshape(-1, a.shape[-1])
+    xs, hp_flat, rh_flat = flat(x_seq), flat(h_prev), flat(r * h_prev)
+    grads = {}
+    for gate in "zrh":
+        rows = flat(da[gate])
+        grads[f"w_{gate}"] = rows.T @ xs
+        grads[f"u_{gate}"] = rows.T @ (rh_flat if gate == "h" else hp_flat)
+        grads[f"b_{gate}"] = rows.sum(axis=0)
+    d_x = da["z"] @ layer["w_z"] + da["r"] @ layer["w_r"] + da["h"] @ layer["w_h"]
+    return grads, d_x
+
+
+def _reference_rnn(model, y, target):
+    """Forward output, loss and gradients of ``RnnModel`` by the reference kernels."""
+    p = model.params
+    gates = lambda layer: {k[len(layer) + 1:]: v for k, v in p.items() if k.startswith(layer + ".")}
+    h1, cache1 = _reference_gru_forward(gates("gru1"), y[:, :, None])
+    h2, cache2 = _reference_gru_forward(gates("gru2"), h1)
+    w_out = p["head.weights"][0]
+    o = sigmoid(h2 @ w_out + p["head.bias"][0])
+    g_s = (2.0 * (o - target) / target.size) * o * (1.0 - o)
+    g2, d_h1 = _reference_gru_backward(gates("gru2"), cache2, g_s[:, :, None] * w_out)
+    g1, _ = _reference_gru_backward(gates("gru1"), cache1, d_h1)
+    grads = {f"gru1.{k}": v for k, v in g1.items()}
+    grads.update((f"gru2.{k}", v) for k, v in g2.items())
+    grads["head.weights"] = np.einsum("bt,bth->h", g_s, h2)[None, :]
+    grads["head.bias"] = np.array([g_s.sum()])
+    return o, float(np.mean((target - o) ** 2)), grads
+
+
+class TestGruKernelBits:
+    """The GRU kernels reproduce the straightforward recurrence bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        stored = load_weights(STORED_RNN_WEIGHTS)
+        return {"stored": stored, "fresh": create_model("rnn", 8, np.random.default_rng(11), hidden=23)}
+
+    @pytest.mark.parametrize("which", ["stored", "fresh"])
+    @pytest.mark.parametrize("length", [71, 8])
+    @pytest.mark.parametrize("batch", [1, 2, 10, 100])
+    def test_forward_and_gradients_match_reference(self, models, which, length, batch):
+        model = models[which]
+        rng = np.random.default_rng(batch * 1000 + length)
+        y = rng.normal(1.5, 0.4, size=(batch, length))
+        target = rng.integers(0, 2, (batch, length)).astype(float)
+        ref_out, ref_loss, ref_grads = _reference_rnn(model, y, target)
+        assert model.forward(y).tobytes() == ref_out.tobytes()
+        loss, grads = model.value_and_grad(y, target)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.shape == ref_grads[name].shape, name
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_forward_peak_memory(self, models):
+        # One (512, 71, 71) float64 array is 20.6 MB; the forward pass keeps
+        # about five alive at once and no full-length gate arrays.
+        y = np.random.default_rng(6).normal(1.5, 0.4, size=(512, 71))
+        tracemalloc.start()
+        try:
+            models["stored"].forward(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 512 * 71 * 71 * 8
