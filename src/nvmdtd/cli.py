@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,6 +47,7 @@ EXIT_NUMERIC = 3
 EXIT_ASSET = 4
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvmdtd",

@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmdtd.channel import (
+    BETA_MEAN,
     BETA_SHAPE_RATIO,
     BETA_VARIANCE_SUP,
     ChannelParams,
     NoiseModel,
     QuantizerSpec,
     beta_alpha_for_sigma,
+    block_stream,
+    derive_seed,
     derive_sigmas,
     load_dataset,
     quantize,
     sample_block_matrix,
     save_dataset,
 )
+from nvmdtd.channel import _pcg64_states
 from nvmdtd.errors import FormatError, ParameterError
 
 
@@ -155,6 +159,95 @@ class TestSampleBlock:
                                      noise_model=NoiseModel.CENTERED_BETA)
         _, y = sample_block_matrix(p, 71, 1, seed=0)
         assert np.all(np.isfinite(y))
+
+
+def _sample_raw(params: ChannelParams, n: int, rng: np.random.Generator):
+    """The per-block definition of a block: bits, variation, offset from one stream."""
+    x = rng.integers(0, 2, size=n, dtype=np.uint8)
+    one = x == 1
+    if params.noise_model is NoiseModel.GAUSSIAN:
+        z = rng.standard_normal(2 * n)
+        noise = np.where(one, params.sigma1, params.sigma0) * z[:n]
+        z_off = z[n:]
+    else:
+        a0 = beta_alpha_for_sigma(params.sigma0)
+        a1 = beta_alpha_for_sigma(params.sigma1)
+        v0 = rng.beta(a0, BETA_SHAPE_RATIO * a0, n)
+        v1 = rng.beta(a1, BETA_SHAPE_RATIO * a1, n)
+        noise = np.where(one, v1, v0) - BETA_MEAN
+        z_off = rng.standard_normal(n)
+    offset = params.offset_mu_b + params.offset_sigma_b * z_off
+    y = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
+    return x, y
+
+
+def _reference_blocks(params, n, nblocks, seed, start=0):
+    rows = [_sample_raw(params, n, block_stream(seed, start + i)) for i in range(nblocks)]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(12345, 3), 10**41]
+_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40]
+_MODELS = [ChannelParams.from_ratio(0.1, mu_b=-0.2, sigma_b_over_mu1=0.04),
+           ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04,
+                                    noise_model=NoiseModel.CENTERED_BETA)]
+
+
+class TestBulkSeeding:
+    """The bulk sampler reproduces ``block_stream`` and the per-block draws byte for byte."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_states_equal_block_stream(self, seed):
+        for index in _INDICES:
+            state = block_stream(seed, index).bit_generator.state["state"]
+            assert list(_pcg64_states(seed, index, 1)) == [(state["state"], state["inc"])]
+
+    @pytest.mark.parametrize("start", [2**32 - 3, 2**64 - 2])
+    def test_states_across_a_word_boundary(self, start):
+        """One call may hold indices of one, two and three 32-bit words."""
+        for seed in (7, 10**41):
+            got = list(_pcg64_states(seed, start, 5))
+            for i, pcg in enumerate(got):
+                state = block_stream(seed, start + i).bit_generator.state["state"]
+                assert pcg == (state["state"], state["inc"])
+
+    def test_raw_byte_decode_equals_integers(self):
+        for n in range(1, 101):
+            raw = block_stream(5, n).bit_generator.random_raw(-(-n // 8))
+            expected = block_stream(5, n).integers(0, 2, n, dtype=np.uint8)
+            decoded = raw.astype("<u8").view(np.uint8)[:n] >> 7
+            assert decoded.tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 71, 100])
+    def test_matrix_equals_per_block_reference(self, params, n):
+        for seed, start, nblocks in [(3, 0, 5), (derive_seed(9, 1), 17, 4), (2**64 - 1, 2**32 - 2, 3)]:
+            x, y = sample_block_matrix(params, n, nblocks, seed, start=start)
+            x_ref, y_ref = _reference_blocks(params, n, nblocks, seed, start)
+            assert x.dtype == np.uint8 and y.dtype == np.float64
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert x.tobytes() == x_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
+    def test_sliced_and_chunked_calls_equal_the_reference(self, params):
+        x_ref, y_ref = _reference_blocks(params, 71, 40, seed=2024, start=100)
+        for chunk in (1, 3, 16, 40):
+            parts = [sample_block_matrix(params, 71, min(chunk, 40 - lo), 2024, start=100 + lo)
+                     for lo in range(0, 40, chunk)]
+            assert np.vstack([p[0] for p in parts]).tobytes() == x_ref.tobytes()
+            assert np.vstack([p[1] for p in parts]).tobytes() == y_ref.tobytes()
+
+    def test_empty_and_invalid_requests(self, offset_channel):
+        x, y = sample_block_matrix(offset_channel, 5, 0, seed=1)
+        assert x.shape == y.shape == (0, 5)
+        for kwargs in ({"seed": -1}, {"seed": 1, "start": -1}):
+            with pytest.raises(ParameterError, match="non-negative"):
+                sample_block_matrix(offset_channel, 5, 2, **kwargs)
+        with pytest.raises(ParameterError):
+            sample_block_matrix(offset_channel, 0, 2, seed=1)
+        with pytest.raises(ParameterError):
+            sample_block_matrix(offset_channel, 5, -1, seed=1)
 
 
 class TestQuantizer:

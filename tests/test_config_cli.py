@@ -433,6 +433,37 @@ class TestCliTrain:
         assert f"{key} must be one of" in capsys.readouterr().err
 
 
+class TestCliParserReuse:
+    def test_back_to_back_calls_equal_fresh_calls(self, tmp_path, capsys, rnn_weights):
+        """One process reuses one parser, and no flag carries over into the next call."""
+        assert _build_parser() is _build_parser()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "n": 8, "channel": {"ratio": 0.1}, "dtd": {"blocks": 20},
+            "session": {"total_blocks": 60, "m_blocks": 10,
+                        "trigger": {"kind": "periodic", "period": 20}}}))
+        runs = [["dtd", "--genie"], ["dtd", "--weights", str(rnn_weights)],
+                ["session", "--genie", "--seed", "5"], ["session", "--weights", str(rnn_weights)],
+                ["analytic", "--ratio", "0.07"], ["analytic"]]
+
+        def run(argv, out):
+            code = main(argv + ["--config", str(cfg), "--out", str(out)])
+            printed = capsys.readouterr().out.replace(str(out), "<out>")
+            return code, printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        reused = [run(argv, tmp_path / f"reused{i}") for i, argv in enumerate(runs)]
+        fresh = []
+        for i, argv in enumerate(runs):
+            _build_parser.cache_clear()
+            fresh.append(run(argv, tmp_path / f"fresh{i}"))
+        assert reused == fresh
+        assert all(code == 0 for code, _, _ in reused)
+        echoes = [json.loads(files["config-resolved.json"]) for _, _, files in reused]
+        assert echoes[1]["dtd"]["genie"] is False
+        assert echoes[3]["session"]["genie"] is False and echoes[3]["seed"] == 12345
+        assert echoes[4]["channel"]["ratio"] == 0.07 and echoes[5]["channel"]["ratio"] == 0.1
+
+
 class TestCliImport:
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats takes about a second to import, twice the CLI's whole start-up.
