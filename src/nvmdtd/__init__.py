@@ -23,13 +23,13 @@ from .channel import (
     NoiseModel,
     QuantizerSpec,
     beta_alpha_for_sigma,
-    block_stream,
     derive_sigmas,
     derive_seed,
     load_dataset,
     quantize,
     sample_block_matrix,
     save_dataset,
+    superblock_stream,
 )
 from .detectors import (
     DtdResult,

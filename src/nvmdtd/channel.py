@@ -7,19 +7,18 @@ detector.  All resistances are in kilo-ohms.
 
 Blocks are produced one way, as a pair of matrices ``(bits, reads)`` with
 one row per block (:func:`sample_block_matrix`), and datasets are written
-and read in that form.  Every row is generated from its own random stream
-derived from ``(master seed, block index)``; :func:`block_stream` defines
-that stream, so a dataset is identical whether its rows are sampled at once
-or in slices.  The sampler does not build one ``block_stream`` per block:
-it derives every block's PCG64 state in one vectorised pass over the block
-indices and reuses one generator, which reproduces the per-block streams
-byte for byte at a fraction of their cost.
+and read in that form.  Blocks are grouped in fixed super-blocks of
+``SUPERBLOCK = 64``: block ``i`` is row ``i % 64`` of super-block
+``i // 64``, and each super-block is drawn whole from its own random stream
+derived from ``(master seed, super-block index)``
+(:func:`superblock_stream`).  The grouping belongs to the scheme, not to
+the caller, so a dataset is identical whether its rows are sampled at once,
+in chunks or in slices.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -190,17 +189,20 @@ def quantize(y, spec: QuantizerSpec):
     return out
 
 
-def block_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for block ``index`` under ``seed``.
+# Blocks per random stream; a constant of the scheme, not of any caller's chunking.
+SUPERBLOCK = 64
+
+
+def superblock_stream(seed: int, k: int) -> np.random.Generator:
+    """Random stream of super-block ``k`` (blocks ``64k .. 64k+63``) under ``seed``.
 
     Uses SeedSequence spawn keys, numpy's counter-style scheme for carving
     non-overlapping streams out of one master seed.  This is the definition
-    of the scheme; :func:`sample_block_matrix` derives the same streams in
-    bulk.
+    of the scheme.
     """
-    if seed < 0 or index < 0:
-        raise ParameterError("seed and block index must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    if seed < 0 or k < 0:
+        raise ParameterError("seed and super-block index must be non-negative")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def derive_seed(seed: int, *lane: int) -> int:
@@ -215,98 +217,21 @@ def derive_seed(seed: int, *lane: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit multiplier; the functions below reproduce their seeding.
-_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's little-endian 32-bit words of a non-negative int (0 is one word)."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
-
-
-def _hash_consts(const: int, mult: int):
-    """SeedSequence's running hash constants as (xor, multiplier) pairs, one per hashmix."""
-    while True:
-        const, previous = const * mult & _M32, const
-        yield previous, const
-
-
-def _hashmix(value, xor, mult):
-    """SeedSequence's ``hashmix``; on ints, or on uint32 arrays with broadcast constants."""
-    value = (value ^ xor) * mult & _M32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two pool words; on ints or uint32 arrays."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _next_consts(consts, count: int):
-    """The next ``count`` constant pairs as two (count, 1) uint32 columns."""
-    return np.array([next(consts) for _ in range(count)], dtype=np.uint32).T[..., None]
-
-
-def _pcg64_states(seed: int, start: int, nblocks: int):
-    """PCG64 ``(state, inc)`` of ``block_stream(seed, start + i)`` for each block ``i``.
-
-    The seed's words enter SeedSequence's pool first, so they are mixed once
-    in Python ints; the spawn key ``(start + i,)`` is mixed in last, on a
-    (pool word, block) uint32 matrix.  Each block's 4 state words then go
-    through PCG64's ``srandom`` step.
-    """
-    words = _uint32_words(operator.index(seed))
-    words += [0] * (_POOL_SIZE - len(words))  # a spawned sequence pads its seed
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for w in words[_POOL_SIZE:]:
-        pool = [_mix(p, _hashmix(w, *next(consts))) for p in pool]
-    # Each index is max(1, ceil(bits / 32)) key words; a word it lacks leaves its pool as is.
-    stop = start + nblocks
-    index = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    for k in range(len(_uint32_words(max(stop - 1, 0)))):
-        high = index >> 32 * k
-        word = (high & _M32).astype(np.uint32)
-        mixed = _mix(pool, _hashmix(word, *_next_consts(consts, _POOL_SIZE)))
-        pool = np.where((high > 0) | (k == 0), mixed, pool)
-    # generate_state(4, uint64): the pool cycled twice, hashed, paired little-endian.
-    out = _hashmix(np.tile(pool, (2, 1)), *_next_consts(_hash_consts(_INIT_B, _MULT_B),
-                                                        2 * _POOL_SIZE)).astype(np.uint64)
-    for a, b, c, d in zip(*(out[0::2] | out[1::2] << 32).tolist()):
-        inc = (c << 65 | d << 1 | 1) & _M128
-        yield ((a << 64 | b) + inc) * _PCG64_MULT + inc & _M128, inc
-
-
 def sample_block_matrix(
     params: ChannelParams, n: int, nblocks: int, seed: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocks ``start .. start+nblocks-1`` as matrices (bits, reads).
 
-    Row ``i`` is drawn from ``block_stream(seed, start+i)`` alone, so any
-    contiguous slice of a dataset can be produced independently.  The draw
-    order of a block is fixed: its bits are the top bit of each byte of its
-    first ceil(n/8) raw 64-bit words, little-endian (what
-    ``integers(0, 2, n, uint8)`` returns); then 2n standard normals for a
-    Gaussian channel (variation, offset), or ``beta`` for state 0, ``beta``
-    for state 1 and n standard normals (offset) for centered-Beta.  The
-    streams are seeded in bulk (:func:`_pcg64_states`) into one reused
-    generator, and the reads are formed once on the whole matrices; both
-    reproduce the per-block definition byte for byte.
+    Block ``i`` is row ``i % 64`` of super-block ``i // 64``, drawn from
+    ``superblock_stream(seed, i // 64)`` alone, so any contiguous slice of a
+    dataset can be produced independently.  A super-block draws, in this
+    order and each as a (64, n) array: its bits (``integers(0, 2, (64, n),
+    uint8)``); then the variation and the offset (``standard_normal`` each)
+    for a Gaussian channel, or the state-0 ``beta``, the state-1 ``beta``
+    and the offset (``standard_normal``) for centered-Beta.  The reads are
+    formed on those arrays.  Both outputs are allocated before anything is
+    drawn, then the covered rows of each super-block are copied in; a call
+    draws at most 63 blocks it does not return at each end of its range.
     """
     if n < 1:
         raise ParameterError(f"block length must be >= 1, got {n}")
@@ -314,48 +239,31 @@ def sample_block_matrix(
         raise ParameterError(f"block count must be >= 0, got {nblocks}")
     if seed < 0 or start < 0:
         raise ParameterError("seed and block index must be non-negative")
+    x = np.empty((nblocks, n), dtype=np.uint8)
+    y = np.empty((nblocks, n), dtype=np.float64)
     gaussian = params.noise_model is NoiseModel.GAUSSIAN
     if not gaussian:
         a0 = beta_alpha_for_sigma(params.sigma0)
         a1 = beta_alpha_for_sigma(params.sigma1)
-    # z holds [variation | offset] normals, or [state-0 Beta | offset] with
-    # the state-1 Beta draws parked in y.
-    z = np.empty((nblocks, 2 * n), dtype=np.float64)
-    y = np.empty((nblocks, n), dtype=np.float64)
-    rng = np.random.default_rng(0)  # its state is set per block below
-    bitgen = rng.bit_generator
-    inner = {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    nraw = -(-n // 8)
-    raws = []
-    for pcg, zi, yi in zip(_pcg64_states(seed, start, nblocks), z, y):
-        inner["state"], inner["inc"] = pcg
-        bitgen.state = state
-        raws.append(bitgen.random_raw(nraw))
+    shape = (SUPERBLOCK, n)
+    done = 0
+    while done < nblocks:
+        k, row = divmod(start + done, SUPERBLOCK)
+        take = min(SUPERBLOCK - row, nblocks - done)
+        rng = superblock_stream(seed, k)
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
+        one = bits == 1
         if gaussian:
-            rng.standard_normal(out=zi)
+            noise = np.where(one, params.sigma1, params.sigma0) * rng.standard_normal(shape)
         else:
-            zi[:n] = rng.beta(a0, BETA_SHAPE_RATIO * a0, n)
-            yi[:] = rng.beta(a1, BETA_SHAPE_RATIO * a1, n)
-            rng.standard_normal(out=zi[n:])
-    raw = np.array(raws, dtype=np.uint64).reshape(nblocks, nraw)
-    x = raw.astype("<u8", copy=False).view(np.uint8)[:, :n] >> 7
-    one = x == 1
-    lo = ~one
-    noise, offset = z[:, :n], z[:, n:]
-    if gaussian:
-        np.multiply(noise, params.sigma1, out=noise, where=one)
-        np.multiply(noise, params.sigma0, out=noise, where=lo)
-    else:
-        np.copyto(noise, y, where=one)
-        noise -= BETA_MEAN
-    offset *= params.offset_sigma_b
-    offset += params.offset_mu_b
-    np.copyto(offset, 0.0, where=lo)
-    y.fill(params.mu0)
-    np.copyto(y, params.mu1, where=one)
-    y += noise
-    y += offset
+            noise = rng.beta(a0, BETA_SHAPE_RATIO * a0, shape)
+            np.copyto(noise, rng.beta(a1, BETA_SHAPE_RATIO * a1, shape), where=one)
+            noise -= BETA_MEAN
+        offset = params.offset_mu_b + params.offset_sigma_b * rng.standard_normal(shape)
+        reads = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
+        x[done:done + take] = bits[row:row + take]
+        y[done:done + take] = reads[row:row + take]
+        done += take
     return x, y
 
 

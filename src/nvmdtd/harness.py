@@ -1,11 +1,11 @@
 """Monte-Carlo BER estimation, figure-style sweeps, and recalibration sessions.
 
-Every estimate here is one serial pass over chunks of blocks, each block
-drawn from its own random stream keyed by ``(seed, block index)``, so
-results do not depend on the chunk size.  A sweep evaluates the operating
-points it is given, one Monte-Carlo pass per point: each chunk of
-evaluation blocks is sampled once and scored by every simulated detector
-of that point, and the point's DTD rows share one sample of calibration
+Every estimate here is one serial pass over chunks of blocks.  Block ``i``
+is row ``i % 64`` of a super-block drawn from its own random stream keyed
+by ``(seed, i // 64)``, so results do not depend on the chunk size.  A
+sweep evaluates the operating points it is given, one Monte-Carlo pass
+per point: each chunk of evaluation blocks is sampled once and scored by
+every simulated detector of that point, and the point's DTD rows share one sample of calibration
 blocks, so the rows of a point are a paired comparison on the same
 blocks.  A recalibration session samples
 its whole schedule once, one matrix per segment, and labels each
@@ -316,7 +316,8 @@ def simulate_recalibration_session(
     The whole schedule is sampled up front, one matrix per segment, so the
     session holds ``total_blocks * n * 9`` bytes (reads and bits; 1.3 MB at
     2000 blocks of 71).  Block ``i`` is the one a block-by-block replay
-    draws, since every block has its own ``(seed, i)`` stream.
+    draws, since it is always row ``i % 64`` of the super-block drawn from
+    the ``(seed, i // 64)`` stream, whatever the segment bounds.
     """
     if m_blocks < 1:
         raise ParameterError(f"session m_blocks must be >= 1, got {m_blocks}")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvmdtd import channel
 from nvmdtd.channel import (
     BETA_MEAN,
     BETA_SHAPE_RATIO,
@@ -13,15 +14,13 @@ from nvmdtd.channel import (
     NoiseModel,
     QuantizerSpec,
     beta_alpha_for_sigma,
-    block_stream,
-    derive_seed,
     derive_sigmas,
     load_dataset,
     quantize,
     sample_block_matrix,
     save_dataset,
+    superblock_stream,
 )
-from nvmdtd.channel import _pcg64_states
 from nvmdtd.errors import FormatError, ParameterError
 
 
@@ -161,82 +160,101 @@ class TestSampleBlock:
         assert np.all(np.isfinite(y))
 
 
-def _sample_raw(params: ChannelParams, n: int, rng: np.random.Generator):
-    """The per-block definition of a block: bits, variation, offset from one stream."""
-    x = rng.integers(0, 2, size=n, dtype=np.uint8)
+K = 64  # blocks per super-block, a constant of the stream scheme
+
+
+def _reference_superblock(params: ChannelParams, n: int, seed: int, k: int):
+    """Super-block ``k`` by its definition: the documented draws from one stream."""
+    rng = superblock_stream(seed, k)
+    shape = (K, n)
+    x = rng.integers(0, 2, size=shape, dtype=np.uint8)
     one = x == 1
     if params.noise_model is NoiseModel.GAUSSIAN:
-        z = rng.standard_normal(2 * n)
-        noise = np.where(one, params.sigma1, params.sigma0) * z[:n]
-        z_off = z[n:]
+        noise = np.where(one, params.sigma1, params.sigma0) * rng.standard_normal(shape)
     else:
         a0 = beta_alpha_for_sigma(params.sigma0)
         a1 = beta_alpha_for_sigma(params.sigma1)
-        v0 = rng.beta(a0, BETA_SHAPE_RATIO * a0, n)
-        v1 = rng.beta(a1, BETA_SHAPE_RATIO * a1, n)
+        v0 = rng.beta(a0, BETA_SHAPE_RATIO * a0, shape)
+        v1 = rng.beta(a1, BETA_SHAPE_RATIO * a1, shape)
         noise = np.where(one, v1, v0) - BETA_MEAN
-        z_off = rng.standard_normal(n)
-    offset = params.offset_mu_b + params.offset_sigma_b * z_off
+    offset = params.offset_mu_b + params.offset_sigma_b * rng.standard_normal(shape)
     y = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
     return x, y
 
 
 def _reference_blocks(params, n, nblocks, seed, start=0):
-    rows = [_sample_raw(params, n, block_stream(seed, start + i)) for i in range(nblocks)]
+    """Block ``i`` is row ``i % 64`` of reference super-block ``i // 64``."""
+    supers = {}
+    rows = []
+    for i in range(start, start + nblocks):
+        k, row = divmod(i, K)
+        if k not in supers:
+            supers[k] = _reference_superblock(params, n, seed, k)
+        rows.append((supers[k][0][row], supers[k][1][row]))
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
-_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(12345, 3), 10**41]
-_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40]
+_SEEDS = [0, 2**64 - 1, 10**41]
+_STARTS = [0, 63, 64, 65, 64 * 2**32]
 _MODELS = [ChannelParams.from_ratio(0.1, mu_b=-0.2, sigma_b_over_mu1=0.04),
            ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04,
                                     noise_model=NoiseModel.CENTERED_BETA)]
 
 
+@pytest.fixture
+def built_streams(monkeypatch):
+    """Records the ``(seed, k)`` of every super-block stream the sampler builds."""
+    built = []
+
+    def recording(seed, k):
+        built.append((seed, k))
+        return superblock_stream(seed, k)
+
+    monkeypatch.setattr(channel, "superblock_stream", recording)
+    return built
+
+
 class TestBulkSeeding:
-    """The bulk sampler reproduces ``block_stream`` and the per-block draws byte for byte."""
-
-    @pytest.mark.parametrize("seed", _SEEDS)
-    def test_states_equal_block_stream(self, seed):
-        for index in _INDICES:
-            state = block_stream(seed, index).bit_generator.state["state"]
-            assert list(_pcg64_states(seed, index, 1)) == [(state["state"], state["inc"])]
-
-    @pytest.mark.parametrize("start", [2**32 - 3, 2**64 - 2])
-    def test_states_across_a_word_boundary(self, start):
-        """One call may hold indices of one, two and three 32-bit words."""
-        for seed in (7, 10**41):
-            got = list(_pcg64_states(seed, start, 5))
-            for i, pcg in enumerate(got):
-                state = block_stream(seed, start + i).bit_generator.state["state"]
-                assert pcg == (state["state"], state["inc"])
-
-    def test_raw_byte_decode_equals_integers(self):
-        for n in range(1, 101):
-            raw = block_stream(5, n).bit_generator.random_raw(-(-n // 8))
-            expected = block_stream(5, n).integers(0, 2, n, dtype=np.uint8)
-            decoded = raw.astype("<u8").view(np.uint8)[:n] >> 7
-            assert decoded.tobytes() == expected.tobytes(), n
+    """The sampler equals the super-block definition, 64 blocks per stream, byte for byte."""
 
     @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
     @pytest.mark.parametrize("n", [*range(1, 10), 16, 71, 100])
     def test_matrix_equals_per_block_reference(self, params, n):
-        for seed, start, nblocks in [(3, 0, 5), (derive_seed(9, 1), 17, 4), (2**64 - 1, 2**32 - 2, 3)]:
-            x, y = sample_block_matrix(params, n, nblocks, seed, start=start)
-            x_ref, y_ref = _reference_blocks(params, n, nblocks, seed, start)
-            assert x.dtype == np.uint8 and y.dtype == np.float64
-            assert x.flags.c_contiguous and y.flags.c_contiguous
-            assert x.tobytes() == x_ref.tobytes()
-            assert y.tobytes() == y_ref.tobytes()
+        for seed in _SEEDS:
+            for start in _STARTS:
+                x, y = sample_block_matrix(params, n, 66, seed, start=start)
+                x_ref, y_ref = _reference_blocks(params, n, 66, seed, start)
+                assert x.dtype == np.uint8 and y.dtype == np.float64
+                assert x.flags.c_contiguous and y.flags.c_contiguous
+                assert x.tobytes() == x_ref.tobytes(), (seed, start)
+                assert y.tobytes() == y_ref.tobytes(), (seed, start)
 
     @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
     def test_sliced_and_chunked_calls_equal_the_reference(self, params):
-        x_ref, y_ref = _reference_blocks(params, 71, 40, seed=2024, start=100)
-        for chunk in (1, 3, 16, 40):
-            parts = [sample_block_matrix(params, 71, min(chunk, 40 - lo), 2024, start=100 + lo)
-                     for lo in range(0, 40, chunk)]
-            assert np.vstack([p[0] for p in parts]).tobytes() == x_ref.tobytes()
-            assert np.vstack([p[1] for p in parts]).tobytes() == y_ref.tobytes()
+        x_ref, y_ref = _reference_blocks(params, 71, 200, seed=2024, start=100)
+        x_one, y_one = sample_block_matrix(params, 71, 200, 2024, start=100)
+        assert x_one.tobytes() == x_ref.tobytes()
+        assert y_one.tobytes() == y_ref.tobytes()
+        for chunk in (1, 3, 63, 64, 65, 100):
+            parts = [sample_block_matrix(params, 71, min(chunk, 200 - lo), 2024, start=100 + lo)
+                     for lo in range(0, 200, chunk)]
+            assert np.vstack([p[0] for p in parts]).tobytes() == x_ref.tobytes(), chunk
+            assert np.vstack([p[1] for p in parts]).tobytes() == y_ref.tobytes(), chunk
+
+    @pytest.mark.parametrize("start, nblocks, supers", [
+        (0, 0, []), (65, 0, []), (0, 1, [0]), (63, 1, [0]), (63, 2, [0, 1]),
+        (64, 64, [1]), (65, 64, [1, 2]), (0, 129, [0, 1, 2]), (64 * 2**32 + 5, 3, [2**32]),
+    ])
+    def test_call_builds_the_streams_it_covers(self, built_streams, offset_channel,
+                                               start, nblocks, supers):
+        sample_block_matrix(offset_channel, 8, nblocks, 7, start=start)
+        assert built_streams == [(7, k) for k in supers]
+
+    def test_request_beyond_memory_fails_before_drawing(self, built_streams, offset_channel):
+        """The outputs are allocated first, so an absurd size draws nothing."""
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            sample_block_matrix(offset_channel, 71, 10**15, 1)
+        assert built_streams == []
 
     def test_empty_and_invalid_requests(self, offset_channel):
         x, y = sample_block_matrix(offset_channel, 5, 0, seed=1)
