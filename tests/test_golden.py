@@ -5,9 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nvmdtd
 
 SCRIPT = Path(__file__).with_name("golden.py")
+
+
+def _check_golden(*python_args):
+    src = str(Path(nvmdtd.__file__).resolve().parents[1])
+    env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
+                        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *python_args, str(SCRIPT)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "all digests match"
 
 
 def test_outputs_match_golden_digests():
@@ -17,13 +29,24 @@ def test_outputs_match_golden_digests():
     digests were recorded at.  A declared seeded change reruns the script
     with ``--update`` and names the files whose digests moved.
     """
-    src = str(Path(nvmdtd.__file__).resolve().parents[1])
-    env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
-                        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(SCRIPT)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip() == "all digests match"
+    _check_golden()
+
+
+# Run as ``python -c PIN_ONE_CPU script``: the child keeps one of its CPUs,
+# then runs the script as ``__main__``.
+PIN_ONE_CPU = ("import os, runpy, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "runpy.run_path(sys.argv.pop(1), run_name='__main__')")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+def test_outputs_match_golden_digests_on_one_cpu():
+    """The digests do not depend on the number of CPUs.
+
+    The child cuts its own affinity to one CPU before it imports the package,
+    so the recurrent forward's tile pool runs one worker instead of one per
+    CPU of the parent.
+    """
+    _check_golden("-c", PIN_ONE_CPU)
 
 
 def test_golden_table_covers_every_command():

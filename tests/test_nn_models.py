@@ -1,12 +1,18 @@
+import itertools
+import json
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nvmdtd.cli import main
 from nvmdtd.errors import ParameterError
+from nvmdtd.nn import models as nn_models
 from nvmdtd.nn.layers import sigmoid
-from nvmdtd.nn.models import create_model
+from nvmdtd.nn.models import RnnModel, create_model
 from nvmdtd.nn.weights_io import load_weights
 
 STORED_RNN_WEIGHTS = Path(__file__).resolve().parents[1] / "perfbench" / "weights" / "weights-rnn.nvmw"
@@ -171,23 +177,26 @@ class TestGradients:
             model.value_and_grad(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
-def _reference_gru_forward(layer, x_seq):
+def _reference_gru_forward(layer, x_seq, want_cache=True):
     """Straightforward batch-major recurrence over x_seq (B, N, in).
 
     ``sigmoid`` is pinned bit for bit to the masked formula in test_nn_layers.
+    Without ``want_cache`` only the outputs are kept.
     """
     nb, nt, _ = x_seq.shape
     h_dim = layer["u_z"].shape[0]
     xz, xr, xh = x_seq @ layer["w_z"].T, x_seq @ layer["w_r"].T, x_seq @ layer["w_h"].T
-    cache = {name: np.empty((nb, nt, h_dim)) for name in ("z", "r", "c", "h_prev", "out")}
+    names = ("z", "r", "c", "h_prev", "out") if want_cache else ("out",)
+    cache = {name: np.empty((nb, nt, h_dim)) for name in names}
     h = np.zeros((nb, h_dim))
     for t in range(nt):
         z = sigmoid(xz[:, t] + h @ layer["u_z"].T + layer["b_z"])
         r = sigmoid(xr[:, t] + h @ layer["u_r"].T + layer["b_r"])
         c = np.tanh(xh[:, t] + (r * h) @ layer["u_h"].T + layer["b_h"])
         h_new = (1.0 - z) * h + z * c
-        for name, value in (("z", z), ("r", r), ("c", c), ("h_prev", h), ("out", h_new)):
-            cache[name][:, t] = value
+        values = {"z": z, "r": r, "c": c, "h_prev": h, "out": h_new}
+        for name in names:
+            cache[name][:, t] = values[name]
         h = h_new
     cache["x"] = x_seq
     return cache["out"], cache
@@ -226,14 +235,20 @@ def _reference_gru_backward(layer, cache, d_out):
     return grads, d_x
 
 
-def _reference_rnn(model, y, target):
-    """Forward output, loss and gradients of ``RnnModel`` by the reference kernels."""
+def _reference_rnn(model, y, target=None):
+    """Forward output, loss and gradients of ``RnnModel`` by the reference kernels.
+
+    Without a target, the forward output alone, computed without the caches.
+    """
     p = model.params
     gates = lambda layer: {k[len(layer) + 1:]: v for k, v in p.items() if k.startswith(layer + ".")}
-    h1, cache1 = _reference_gru_forward(gates("gru1"), y[:, :, None])
-    h2, cache2 = _reference_gru_forward(gates("gru2"), h1)
+    want_cache = target is not None
+    h1, cache1 = _reference_gru_forward(gates("gru1"), y[:, :, None], want_cache)
+    h2, cache2 = _reference_gru_forward(gates("gru2"), h1, want_cache)
     w_out = p["head.weights"][0]
     o = sigmoid(h2 @ w_out + p["head.bias"][0])
+    if not want_cache:
+        return o
     g_s = (2.0 * (o - target) / target.size) * o * (1.0 - o)
     g2, d_h1 = _reference_gru_backward(gates("gru2"), cache2, g_s[:, :, None] * w_out)
     g1, _ = _reference_gru_backward(gates("gru1"), cache1, d_h1)
@@ -270,8 +285,10 @@ class TestGruKernelBits:
             assert g.tobytes() == ref_grads[name].tobytes(), name
 
     def test_forward_peak_memory(self, models):
-        # One (512, 71, 71) float64 array is 20.6 MB; the forward pass keeps
-        # about five alive at once and no full-length gate arrays.
+        # One (512, 71, 71) float64 array is 20.6 MB.  A 512-block forward runs
+        # as four 128-block tiles, each holding about five (71, 128, 71)
+        # arrays and no full-length gate arrays, so it stays far below the
+        # whole-batch bound checked here.
         y = np.random.default_rng(6).normal(1.5, 0.4, size=(512, 71))
         tracemalloc.start()
         try:
@@ -280,3 +297,141 @@ class TestGruKernelBits:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * 512 * 71 * 71 * 8
+
+
+FRESH_RNNS = {"n8-h23": (8, 23), "n8": (8, None), "n1": (1, None), "n33-h40": (33, 40)}
+
+
+def _failing_tile(error):
+    """A ``_forward_rows`` that raises ``error`` in the second tile a pool worker starts."""
+    tiles = itertools.count()
+    whole = RnnModel._forward_rows
+
+    def forward_rows(self, yb):
+        if threading.current_thread() is not threading.main_thread() and next(tiles) == 1:
+            raise error
+        return whole(self, yb)
+
+    return forward_rows
+
+
+class TestTiledForward:
+    """A batch of 256 blocks or more runs as row tiles with the bytes of one whole pass."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        models = {"stored": (load_weights(STORED_RNN_WEIGHTS), 71)}
+        for seed, (name, (n, hidden)) in enumerate(FRESH_RNNS.items()):
+            models[name] = (create_model("rnn", n, np.random.default_rng(seed), hidden=hidden), n)
+        return models
+
+    @pytest.fixture
+    def pool_of(self, monkeypatch):
+        """Run split forwards on a pool of the given worker count."""
+        pools = []
+
+        def use(workers):
+            pools.append(ThreadPoolExecutor(workers))
+            monkeypatch.setattr(nn_models, "_tile_pool", lambda: pools[-1])
+
+        yield use
+        for pool in pools:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("which", ["stored", *FRESH_RNNS])
+    @pytest.mark.parametrize("batch", [255, 256, 257, 300, 513, 2049])
+    def test_matches_reference_and_untiled_kernel(self, models, which, batch):
+        model, n = models[which]
+        y = np.random.default_rng(batch).normal(1.5, 0.4, size=(batch, n))
+        out = model.forward(y)
+        assert out.shape == (batch, n)
+        assert out.tobytes() == model._forward_rows(y).tobytes()
+        assert out.tobytes() == _reference_rnn(model, y).tobytes()
+
+    @pytest.mark.parametrize("batch, tiles", [
+        (1, [1]), (255, [255]), (256, [128, 128]), (257, [129, 128]), (383, [192, 191]),
+        (384, [128, 128, 128]), (2049, [129] + [128] * 15)])
+    def test_tile_rule(self, models, monkeypatch, batch, tiles):
+        seen = []
+        whole = RnnModel._forward_rows
+
+        def forward_rows(self, yb):
+            seen.append((yb[0, 0], len(yb)))
+            return whole(self, yb)
+
+        monkeypatch.setattr(RnnModel, "_forward_rows", forward_rows)
+        model, n = models["n8-h23"]
+        y = np.arange(batch * n, dtype=float).reshape(batch, n)
+        model.forward(y)
+        starts = np.cumsum([0] + tiles[:-1])
+        assert sorted(seen) == [(y[start, 0], size) for start, size in zip(starts, tiles)]
+
+    def test_worker_count_does_not_change_bytes(self, models, pool_of):
+        model, n = models["stored"]
+        y = np.random.default_rng(9).normal(1.5, 0.4, size=(513, n))
+        outs = []
+        for workers in (1, 2):
+            pool_of(workers)
+            outs.append(model.forward(y).tobytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (2, {}, 1), (2, {"OPENBLAS_NUM_THREADS": "1"}, 2), (4, {"OMP_NUM_THREADS": "1"}, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1), (3, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1)])
+    def test_workers_share_the_cpus_with_blas(self, monkeypatch, cpus, env, workers):
+        monkeypatch.setattr(nn_models.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert nn_models._tile_workers() == workers
+
+    def test_one_read_vector_keeps_its_shape(self, models):
+        model, n = models["stored"]
+        y = np.random.default_rng(10).normal(1.5, 0.4, size=n)
+        out = model.forward(y)
+        assert out.shape == (n,)
+        assert out.tobytes() == model.forward(y[None, :])[0].tobytes()
+
+    def test_split_forward_peak_memory(self, models, pool_of):
+        # A 128-block tile at N = h = 71 holds at most five (71, 128, 71)
+        # float64 arrays at once (5.2 MB each): the layer-1 output, then the
+        # layer-2 input projections (three) and its output, 26 MB per tile.
+        # Two workers run two tiles at once, 52 MB, next to the 1.2 MB input
+        # and output.  The whole-batch pass held five (71, 2048, 71) arrays,
+        # 421.5 MB; 100 MB leaves room for the tiles' step buffers.
+        pool_of(2)
+        model, n = models["stored"]
+        y = np.random.default_rng(7).normal(1.5, 0.4, size=(2048, n))
+        tracemalloc.start()
+        try:
+            model.forward(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6
+
+    def test_tile_error_propagates_and_pool_survives(self, models, monkeypatch, tmp_path, capsys):
+        model, n = models["stored"]
+        y = np.random.default_rng(8).normal(1.5, 0.4, size=(300, n))
+        expected = model._forward_rows(y).tobytes()
+        error = MemoryError("Unable to allocate a tile")
+        monkeypatch.setattr(RnnModel, "_forward_rows", _failing_tile(error))
+        with pytest.raises(MemoryError) as raised:
+            model.forward(y)
+        assert raised.value is error
+
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"seed": 5, "channel": {"ratio": 0.1}, "eval": {
+            "blocks": 300, "detectors": ["midpoint", "rnn"],
+            "weights": {"rnn": str(STORED_RNN_WEIGHTS)}}}))
+        monkeypatch.setattr(RnnModel, "_forward_rows", _failing_tile(error))
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate a tile\n"
+
+        monkeypatch.undo()
+        assert model.forward(y).tobytes() == expected
