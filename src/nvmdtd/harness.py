@@ -201,14 +201,14 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
 
 def training_curve(kind: str, params: ChannelParams, config: TrainConfig,
                    csv_path=None, n: int = 71, hidden: int | None = None) -> TrainResult:
-    """Train a detector and optionally persist its per-epoch validation curve."""
+    """Train a detector and optionally persist its per-epoch validation BER and mean training loss."""
     result = train(kind, params, config, n=n, hidden=hidden)
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "val_ber"])
-            for epoch, ber in result.curve:
-                writer.writerow([epoch, ber])
+            writer.writerow(["epoch", "val_ber", "train_loss"])
+            for rec in result.history:
+                writer.writerow([rec.epoch, rec.val_ber, rec.train_loss])
     return result
 
 

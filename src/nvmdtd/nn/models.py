@@ -27,32 +27,54 @@ of them is against central finite differences.
 
 The recurrent kernels are bit-identical, at a fixed BLAS thread count, to
 the straightforward batch-major per-step recurrence kept as the reference
-in the tests, so trained weights and every output are unchanged by their
-layout.  The rules that keep the bits:
+in the tests, whose step projects its own input (``x[:, t] @ W.T``) and
+whose head is the row sum ``(h * w_out).sum(-1)``.  Inference and training
+run the same step code (``_rnn_steps``, ``_gru_step``), so a model's
+forward and its training pass give the same bytes.  The rules that keep
+the bits:
 
-* The layers pass time-major (N, B, h) state buffers to each other and
-  work per step in preallocated step buffers (``out=`` matmuls, in-place
-  ``+=``: IEEE addition commutes).  The z and r gates share a stacked
-  (2, B, h) step, so one add and one sigmoid serve both.  The
+* Both layers advance together, one step at a time: at step t layer 1
+  reads y[:, t] and layer 2 reads layer 1's new state.  Each layer works
+  in preallocated step buffers (``out=`` matmuls, in-place ``+=``: IEEE
+  addition commutes).  The z and r gates share a stacked (2, B, h) step,
+  so one add and one sigmoid serve both.
+* Every GEMM keeps the reference's operands.  A step's input projection
+  is one ``matmul`` of the (B, in) input against the stacked *transposed
+  views* ``stack([W_z, W_r, W_h]).transpose(0, 2, 1)``, and its z and r
+  recurrent products one against ``stack([U_z, U_r]).transpose(0, 2, 1)``;
+  each slice is then the reference's ``x @ W.T`` GEMM.  A copy of the
+  transposed weights, or one fused [U_z; U_r] GEMM, gives other bits.  The
+  backward pass runs ``a @ U`` on (B, h) steps, z and r against the
+  stacked ``[U_z, U_r]``, and ``d_x`` on batch-major views (B, N, .), one
+  BLAS call per block; flattening those to one (N*B, k) GEMM can pick
+  another BLAS kernel (it does at N = 8, B = 10) and change the bits.
+* The head is a per-row sum, so a block's estimate does not depend on how
+  many rows share the step; a per-step ``h @ w_out`` matvec does, and
+  broke tiled == whole-batch at B from 257 to 2049.  Inference sums each
+  step's rows as it goes; training, which keeps every layer-2 state, sums
+  them all at once, the same row sums.
+* Weight gradients sum their rows in batch-major order.  The
   step-independent backward factors ``1 - z``, ``1 - r``, ``c - h_prev``
   and ``1 - c*c`` are formed in bulk.
-* Every GEMM keeps the reference's operands: the recurrent products are
-  ``h @ U.T`` (forward) and ``a @ U`` (backward) on a (B, h) step, never
-  a copy of ``U.T`` or fused ``[U_z; U_r]``.  The input projections,
-  ``d_x`` and the head matvec run on batch-major views (B, N, .), one
-  BLAS call per block; flattening them to one (N*B, k) GEMM can pick
-  another BLAS kernel (it does at N = 8, B = 10) and change the bits.
-* Weight gradients sum their rows in batch-major order.
-* At inference, each gate has one step-sized scratch buffer; only
-  training keeps the full-length gate values.
+
+Memory: a forward of B blocks holds no full-length array but its (B, N)
+input and output.  Each layer updates its (B, h) state in place, and its
+gates, the (3, B, h) projection and the scratch are step-sized: 12 (B, h)
+arrays in all.  A 100-block calibration window at N = h = 71 peaks at
+1.3 MB under ``tracemalloc``, where input projections hoisted out of the
+recurrence would hold five (N, B, h) arrays, 20 MB.  Training keeps each
+layer's states and gate values at every step, four (N, B, h) arrays per
+layer, for its backward pass.
 
 ``RnnModel.forward`` splits a batch of B >= 256 blocks into floor(B/128)
 near-equal row tiles (``np.array_split``), runs each through the kernels
 on a process-wide thread pool with one worker per usable CPU that BLAS
-leaves free (``_tile_workers``), and concatenates the tiles in order.  A
-forward then holds the full-length arrays of one tile per worker instead
-of the whole batch's.  The tile bounds depend on B alone, so the bytes do
-not depend on the core count.
+leaves free (``_tile_workers``), and concatenates the tiles in order.  The
+tiles are there to use every core: a step's small GEMMs and elementwise
+calls run on one core each, and at one BLAS thread two workers cut a
+2048-block forward from 1.18 to 0.72 s on a 2-CPU host.
+The tile bounds depend on B alone, so the bytes do not depend on the core
+count.
 floor(B/128) tiles give every tile at least 128 rows, and at that height
 the per-step recurrent GEMMs give each block the bits of the whole-batch
 pass (the tests pin this from B = 255 to 2049 at several widths).  A
@@ -65,6 +87,7 @@ tiles, at every size tried.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,10 +162,7 @@ class MlpModel(_Network):
     def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
         """Batch-averaged loss and its gradient in one pass."""
         p = self.params
-        yb, _ = _as_batch(y, self.n)
-        tb, _ = _as_batch(target, self.n)
-        if yb.shape != tb.shape:
-            raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
+        yb, tb = _as_pair(y, target, self.n)
         s1 = yb @ p["layer1.weights"].T + p["layer1.bias"]
         h = relu(s1)
         o = sigmoid(h @ p["layer2.weights"].T + p["layer2.bias"])
@@ -184,30 +204,21 @@ class RnnModel(_Network):
 
     def _forward_rows(self, yb: np.ndarray) -> np.ndarray:
         """The soft estimates of a (blocks, N) batch in one pass of the kernels."""
-        p = self.params
-        h1, _ = _gru_layer_forward(_gates(p, "gru1"), yb.T[:, :, None], want_cache=False)
-        h2, _ = _gru_layer_forward(_gates(p, "gru2"), h1, want_cache=False)
-        return sigmoid(h2.transpose(1, 0, 2) @ p["head.weights"][0] + p["head.bias"][0])
+        return _rnn_steps(self.params, yb, keep=False)[0]
 
     def value_and_grad(self, y, target) -> tuple[float, dict[str, np.ndarray]]:
         """Batch-averaged loss and its gradient in one backpropagation-through-time pass."""
         p = self.params
-        yb, _ = _as_batch(y)
-        tb, _ = _as_batch(target)
-        if yb.shape != tb.shape:
-            raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
-        gru1, gru2 = _gates(p, "gru1"), _gates(p, "gru2")
-        h1, cache1 = _gru_layer_forward(gru1, yb.T[:, :, None], want_cache=True)
-        h2, cache2 = _gru_layer_forward(gru2, h1, want_cache=True)
-        h2 = h2.transpose(1, 0, 2)
+        yb, tb = _as_pair(y, target)
+        o, (cache1, cache2) = _rnn_steps(p, yb, keep=True)
         w_out = p["head.weights"][0]
-        o = sigmoid(h2 @ w_out + p["head.bias"][0])
         g_s = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
         d_h2 = g_s.T[:, :, None] * w_out
-        g2, d_h1 = _gru_layer_backward(gru2, cache2, d_h2)
-        g1, _ = _gru_layer_backward(gru1, cache1, d_h1)
+        g2, d_h1 = _gru_layer_backward(cache2, d_h2)
+        g1, _ = _gru_layer_backward(cache1, d_h1)
         grads = {f"gru1.{gate}": g for gate, g in g1.items()}
         grads.update((f"gru2.{gate}", g) for gate, g in g2.items())
+        h2 = cache2["h"][1:].transpose(1, 0, 2)
         grads["head.weights"] = np.einsum("bt,bth->h", g_s, h2)[None, :]
         grads["head.bias"] = np.array([g_s.sum()])
         return float(np.mean((tb - o) ** 2)), grads
@@ -250,7 +261,9 @@ def _tile_workers() -> int:
     variables OpenBLAS reads.  With neither set, OpenBLAS threads each call
     over every CPU, so the tiles run one at a time: on a 2-CPU host, two
     workers at two BLAS threads each made a 512-block forward slower than
-    one worker (0.33 against 0.27 s).
+    one worker (0.33 against 0.27 s).  The count sets how many cores a
+    forward uses, not its memory: a running tile holds only its step
+    buffers, about 1 MB at 128 rows and N = h = 71.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -277,64 +290,105 @@ def _as_batch(y, n_expected: int | None = None) -> tuple[np.ndarray, bool]:
     return y, was_1d
 
 
+def _as_pair(y, target, n_expected: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A training batch and its targets as equal-shape, non-empty (blocks, N) arrays."""
+    yb, _ = _as_batch(y, n_expected)
+    tb, _ = _as_batch(target, n_expected)
+    if yb.shape != tb.shape:
+        raise ParameterError(f"batch mismatch: {yb.shape} vs {tb.shape}")
+    if yb.size == 0:
+        raise ParameterError(f"empty batch of shape {yb.shape}")
+    return yb, tb
+
+
 def _gates(params: dict, layer: str) -> dict[str, np.ndarray]:
     """One recurrent layer's blocks keyed by gate name (``w_z``, ``u_z``, ...)."""
     prefix = layer + "."
     return {name[len(prefix):]: arr for name, arr in params.items() if name.startswith(prefix)}
 
 
-def _gru_layer_forward(layer: dict, x_seq: np.ndarray, want_cache: bool):
-    """Run one recurrent layer over the time-major x_seq of shape (N, B, in).
+def _rnn_steps(params: dict, yb: np.ndarray, keep: bool):
+    """Run both recurrent layers and the head over a (B, N) batch, one step at a time.
 
-    Returns the time-major hidden states (N, B, h) and, when requested, the
-    gate values the backward pass needs.  Without a cache, the gates of
-    every step reuse one set of step buffers.
+    At step t layer 1 reads ``yb[:, t]``, layer 2 reads layer 1's new state
+    and the head sums layer 2's new state against its weights row by row.
+    Returns the (B, N) soft estimates and, with ``keep``, each layer's
+    backward cache: its weights, its time-major input, its states ``h``
+    (N + 1, B, h) from the zero state on, and its gate values at every
+    step.  Without ``keep`` each layer updates one state in place and
+    reuses one set of step buffers.
     """
-    nt, nb, _ = x_seq.shape
-    h_dim = layer["u_z"].shape[0]
-    # Input projections for every step at once, one GEMM per block on the
-    # batch-major views, written time-major; only the recurrent half of each
-    # gate has to run sequentially.
-    xzr = np.empty((nt, 2, nb, h_dim))
-    xh = np.empty((nt, nb, h_dim))
-    for w, proj in (("w_z", xzr[:, 0]), ("w_r", xzr[:, 1]), ("w_h", xh)):
-        np.matmul(x_seq.transpose(1, 0, 2), layer[w].T, out=proj.transpose(1, 0, 2))
-    b_zr = np.stack([layer["b_z"], layer["b_r"]])[:, None, :]
-    out = np.empty((nt, nb, h_dim))
-    cache = None
-    if want_cache:
-        cache = {"x": x_seq, "out": out,
-                 "zr": np.empty((nt, 2, nb, h_dim)), "c": np.empty((nt, nb, h_dim))}
-    else:
-        zr, c = np.empty((2, nb, h_dim)), np.empty((nb, h_dim))
-    prod = np.empty((nb, h_dim))
-    u_z, u_r, u_h = layer["u_z"].T, layer["u_r"].T, layer["u_h"].T
-    h = np.zeros((nb, h_dim))
-    for t in range(nt):
-        h_new = out[t]
-        if want_cache:
-            zr, c = cache["zr"][t], cache["c"][t]
-        z, r = zr
-        np.matmul(h, u_z, out=z)
-        np.matmul(h, u_r, out=r)
-        zr += xzr[t]
-        zr += b_zr
-        sigmoid(zr, out=zr)
-        np.multiply(r, h, out=prod)
-        np.matmul(prod, u_h, out=c)
-        c += xh[t]
-        c += layer["b_h"]
-        np.tanh(c, out=c)
-        np.subtract(1.0, z, out=prod)
-        prod *= h
-        np.multiply(z, c, out=h_new)
-        h_new += prod
-        h = h_new
-    return out, cache
+    nb, nt = yb.shape
+    h_dim = params["gru1.u_z"].shape[0]
+    span = nt if keep else 1  # the steps whose gate values are kept
+    caches, layer_steps, x_seq = [], [], yb.T[:, :, None]
+    for name in ("gru1", "gru2"):
+        h = np.zeros((nt + 1 if keep else 1, nb, h_dim))
+        zr, c = np.empty((span, 2, nb, h_dim)), np.empty((span, nb, h_dim))
+        caches.append({"layer": _step_weights(_gates(params, name)), "x": x_seq,
+                       "h": h, "zr": zr, "c": c})
+        # Per step: the state read, the state written, the gates, the candidate.
+        layer_steps.append(zip(h[:-1], h[1:], zr, c) if keep
+                           else itertools.repeat((h[0], h[0], zr[0], c[0]), nt))
+        x_seq = h[1:]
+    proj, prod = np.empty((3, nb, h_dim)), np.empty((nb, h_dim))
+    scratch = (proj, proj[:2], proj[2], prod)
+    w_out = params["head.weights"][0]
+    s = np.empty((nt, nb))
+    for t, (x, *steps) in enumerate(zip(caches[0]["x"], *layer_steps)):
+        for cache, (h, h_new, zr, c) in zip(caches, steps):
+            _gru_step(cache["layer"], x, h, h_new, zr, c, scratch)
+            x = h_new
+        if not keep:
+            np.multiply(x, w_out, out=prod)
+            prod.sum(axis=-1, out=s[t])
+    if keep:  # the same row sums, over the kept layer-2 states at once
+        (caches[1]["h"][1:] * w_out).sum(axis=-1, out=s)
+    o = np.add(s.T, params["head.bias"][0], out=np.empty((nb, nt)))
+    return sigmoid(o, out=o), caches if keep else None
 
 
-def _gru_layer_backward(layer: dict, cache: dict, d_out: np.ndarray):
-    """Backpropagate through one recurrent layer.
+def _step_weights(layer: dict) -> dict:
+    """A layer's gate blocks plus what ``_gru_step`` reads.
+
+    The stacked W and U blocks are read through transposed views, as are
+    the blocks themselves in the reference's ``x @ W.T``.
+    """
+    w_zrh = np.stack([layer["w_z"], layer["w_r"], layer["w_h"]])
+    u_zr = np.stack([layer["u_z"], layer["u_r"]])
+    return layer | {"w_zrh": w_zrh.transpose(0, 2, 1), "u_zr": u_zr.transpose(0, 2, 1),
+                    "u_h.T": layer["u_h"].T,
+                    "b_zr": np.stack([layer["b_z"], layer["b_r"]])[:, None, :]}
+
+
+def _gru_step(layer: dict, x, h, h_new, zr, c, scratch) -> None:
+    """One step of one recurrent layer, from input x (B, in) and state h (B, h) into h_new.
+
+    ``zr`` (2, B, h) receives the z and r gates and ``c`` (B, h) the
+    candidate.  ``scratch`` is the (3, B, h) projection, its z-and-r and
+    candidate parts, and a (B, h) buffer.  h_new may be h itself: h is last
+    read before h_new is written.
+    """
+    proj, proj_zr, proj_h, prod = scratch
+    np.matmul(x, layer["w_zrh"], out=proj)
+    np.matmul(h, layer["u_zr"], out=zr)
+    zr += proj_zr
+    zr += layer["b_zr"]
+    sigmoid(zr, out=zr)
+    z, r = zr
+    np.multiply(r, h, out=prod)
+    np.matmul(prod, layer["u_h.T"], out=c)
+    c += proj_h
+    c += layer["b_h"]
+    np.tanh(c, out=c)
+    np.subtract(1.0, z, out=prod)
+    prod *= h
+    np.multiply(z, c, out=h_new)
+    h_new += prod
+
+
+def _gru_layer_backward(cache: dict, d_out: np.ndarray):
+    """Backpropagate through one recurrent layer from its ``_rnn_steps`` cache.
 
     ``d_out[t]`` is the time-major (B, h) loss gradient at the layer's
     step-t output.  The recurrence is unrolled in reverse, carrying the
@@ -342,10 +396,10 @@ def _gru_layer_backward(layer: dict, cache: dict, d_out: np.ndarray):
     formed in one matmul per block from the accumulated per-step gate
     gradients.  Returns those gradients and the time-major input gradient.
     """
-    zr, c, x_seq = cache["zr"], cache["c"], cache["x"]
+    layer, zr, c, x_seq = cache["layer"], cache["zr"], cache["c"], cache["x"]
     z, r = zr[:, 0], zr[:, 1]
     nt, nb, h_dim = c.shape
-    h_prev = np.concatenate((np.zeros((1, nb, h_dim)), cache["out"][:-1]))
+    h_prev = cache["h"][:-1]
     # The step-independent factors, in bulk before the reverse loop.
     one_minus_zr = 1.0 - zr
     c_minus_h = c - h_prev
@@ -355,6 +409,7 @@ def _gru_layer_backward(layer: dict, cache: dict, d_out: np.ndarray):
     carry = np.zeros((nb, h_dim))
     d_zr = np.empty((2, nb, h_dim))
     dh, prod = np.empty((nb, h_dim)), np.empty((nb, h_dim))
+    u_zr = np.stack([layer["u_z"], layer["u_r"]])
     for t in range(nt - 1, -1, -1):
         np.add(d_out[t], carry, out=dh)
         np.multiply(dh, c_minus_h[t], out=d_zr[0])
@@ -367,8 +422,9 @@ def _gru_layer_backward(layer: dict, cache: dict, d_out: np.ndarray):
         carry += drh
         a_zr = np.multiply(d_zr, zr[t], out=da_zr[t])
         a_zr *= one_minus_zr[t]
-        carry += np.matmul(a_zr[0], layer["u_z"], out=prod)
-        carry += np.matmul(a_zr[1], layer["u_r"], out=prod)
+        np.matmul(a_zr, u_zr, out=d_zr)
+        carry += d_zr[0]
+        carry += d_zr[1]
     da_z, da_r = da_zr[:, 0], da_zr[:, 1]
     batch_major = lambda a: a.transpose(1, 0, 2)
     # Weight gradients sum over rows in batch-major order.

@@ -14,7 +14,8 @@ table was recorded with ``OPENBLAS_NUM_THREADS=1``, so run it with that::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --update  # rewrite
 
 A change that declares a seeded difference regenerates ``golden.json`` with
-``--update``; the diff of that file names exactly the outputs that moved.
+``--update``, which first prints one line per moved digest (case/file:
+old -> new), the same lines a compare run fails with.
 """
 
 from __future__ import annotations
@@ -135,15 +136,16 @@ def differences(expected: dict, actual: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--update", action="store_true", help=f"rewrite {GOLDEN.name}")
+    parser.add_argument("--update", action="store_true",
+                        help=f"print the moved digests, then rewrite {GOLDEN.name}")
     args = parser.parse_args(argv)
     actual = run_all()
+    diff = differences(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, actual)
+    print("\n".join(diff) if diff else "all digests match")
     if args.update:
         GOLDEN.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
         print(f"wrote {sum(map(len, actual.values()))} digests to {GOLDEN}")
         return 0
-    diff = differences(json.loads(GOLDEN.read_text()), actual)
-    print("\n".join(diff) if diff else "all digests match")
     return 1 if diff else 0
 
 

@@ -207,7 +207,7 @@ class TestCliTrain:
         assert (out / "weights-rnn.nvmw").is_file()
         assert (out / "config-resolved.json").is_file()
         curve = (out / "curve.csv").read_text().splitlines()
-        assert curve[0] == "epoch,val_ber"
+        assert curve[0] == "epoch,val_ber,train_loss"
         assert len(curve) == 3  # header + one row per epoch
         echoed = json.loads((out / "config-resolved.json").read_text())
         assert echoed["command"] == "train"

@@ -12,6 +12,13 @@ import nvmdtd
 SCRIPT = Path(__file__).with_name("golden.py")
 
 
+def _load_golden():
+    spec = importlib.util.spec_from_file_location("golden", SCRIPT)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
+
+
 def _check_golden(*python_args):
     src = str(Path(nvmdtd.__file__).resolve().parents[1])
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
@@ -50,9 +57,7 @@ def test_outputs_match_golden_digests_on_one_cpu():
 
 
 def test_golden_table_covers_every_command():
-    spec = importlib.util.spec_from_file_location("golden", SCRIPT)
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
+    golden = _load_golden()
     from nvmdtd.cli import _COMMANDS
 
     table = json.loads(golden.GOLDEN.read_text())
@@ -60,3 +65,16 @@ def test_golden_table_covers_every_command():
     assert {command for command, _, _ in golden.CASES.values()} == set(_COMMANDS)
     for name, digests in table.items():
         assert golden.STDOUT_KEY in digests and "config-resolved.json" in digests, name
+
+
+def test_update_prints_moved_digests_before_rewriting(tmp_path, monkeypatch, capsys):
+    golden = _load_golden()
+    table = tmp_path / "golden.json"
+    table.write_text(json.dumps({"gen": {"<stdout>": "a", "data.txt": "b"}}))
+    fresh = {"gen": {"<stdout>": "a", "data.txt": "c"}}
+    monkeypatch.setattr(golden, "GOLDEN", table)
+    monkeypatch.setattr(golden, "run_all", lambda: fresh)
+    assert golden.main(["--update"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "gen/data.txt: b -> c", f"wrote 2 digests to {table}"]
+    assert json.loads(table.read_text()) == fresh

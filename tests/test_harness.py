@@ -262,11 +262,12 @@ class TestTrainingCurve:
         result = training_curve("rnn", params, cfg, csv_path=path, n=12)
         with open(path) as fh:
             reader = csv.reader(fh)
-            assert next(reader) == ["epoch", "val_ber"]
+            assert next(reader) == ["epoch", "val_ber", "train_loss"]
             rows = list(reader)
         assert len(rows) == 2
         assert [int(r[0]) for r in rows] == [1, 2]
         assert [float(r[1]) for r in rows] == [rec.val_ber for rec in result.history]
+        assert [float(r[2]) for r in rows] == [rec.train_loss for rec in result.history]
 
     def test_rerun_reproduces_curve(self):
         params = ChannelParams.from_ratio(0.05)

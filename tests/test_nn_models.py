@@ -104,6 +104,14 @@ class TestMseLoss:
             y = rng.normal(1.5, 0.4, size=(3, 5))
             assert model.value_and_grad(y, model.forward(y))[0] == 0.0
 
+    @pytest.mark.parametrize("batch", [1, 2, 100, 300])
+    def test_perfect_fit_stored_rnn(self, batch):
+        # Training and inference run the same step code, and a split forward
+        # (300 blocks) keeps the bytes of the whole-batch training pass.
+        model = load_weights(STORED_RNN_WEIGHTS)
+        y = np.random.default_rng(batch).normal(1.5, 0.4, size=(batch, 71))
+        assert model.value_and_grad(y, model.forward(y))[0] == 0.0
+
     def test_half_everywhere(self):
         # Zero weights put out 0.5 at every position.
         rng = np.random.default_rng(0)
@@ -177,22 +185,47 @@ class TestGradients:
             model.value_and_grad(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
+class TestEmptyBatch:
+    @pytest.fixture(params=["mlp", "rnn"])
+    def model(self, request):
+        return create_model(request.param, 4, np.random.default_rng(0), hidden=3)
+
+    def test_value_and_grad_refuses_empty_batch(self, model):
+        with pytest.raises(ParameterError, match="empty batch"):
+            model.value_and_grad(np.zeros((0, 4)), np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0,)])
+    def test_rnn_refuses_zero_length_blocks(self, shape):
+        model = create_model("rnn", 4, np.random.default_rng(0), hidden=3)
+        with pytest.raises(ParameterError, match="empty batch"):
+            model.value_and_grad(np.zeros(shape), np.zeros(shape))
+
+    def test_forward_of_no_blocks_is_empty(self, model):
+        out = model.forward(np.zeros((0, 4)))
+        assert out.shape == (0, 4)
+
+    def test_rnn_forward_of_zero_length_blocks_is_empty(self):
+        model = create_model("rnn", 4, np.random.default_rng(0), hidden=3)
+        assert model.forward(np.zeros((5, 0))).shape == (5, 0)
+
+
 def _reference_gru_forward(layer, x_seq, want_cache=True):
     """Straightforward batch-major recurrence over x_seq (B, N, in).
 
-    ``sigmoid`` is pinned bit for bit to the masked formula in test_nn_layers.
-    Without ``want_cache`` only the outputs are kept.
+    Each step projects its own input, ``x_seq[:, t] @ W.T``.  ``sigmoid`` is
+    pinned bit for bit to the masked formula in test_nn_layers.  Without
+    ``want_cache`` only the outputs are kept.
     """
     nb, nt, _ = x_seq.shape
     h_dim = layer["u_z"].shape[0]
-    xz, xr, xh = x_seq @ layer["w_z"].T, x_seq @ layer["w_r"].T, x_seq @ layer["w_h"].T
     names = ("z", "r", "c", "h_prev", "out") if want_cache else ("out",)
     cache = {name: np.empty((nb, nt, h_dim)) for name in names}
     h = np.zeros((nb, h_dim))
     for t in range(nt):
-        z = sigmoid(xz[:, t] + h @ layer["u_z"].T + layer["b_z"])
-        r = sigmoid(xr[:, t] + h @ layer["u_r"].T + layer["b_r"])
-        c = np.tanh(xh[:, t] + (r * h) @ layer["u_h"].T + layer["b_h"])
+        x = x_seq[:, t]
+        z = sigmoid(x @ layer["w_z"].T + h @ layer["u_z"].T + layer["b_z"])
+        r = sigmoid(x @ layer["w_r"].T + h @ layer["u_r"].T + layer["b_r"])
+        c = np.tanh(x @ layer["w_h"].T + (r * h) @ layer["u_h"].T + layer["b_h"])
         h_new = (1.0 - z) * h + z * c
         values = {"z": z, "r": r, "c": c, "h_prev": h, "out": h_new}
         for name in names:
@@ -246,7 +279,8 @@ def _reference_rnn(model, y, target=None):
     h1, cache1 = _reference_gru_forward(gates("gru1"), y[:, :, None], want_cache)
     h2, cache2 = _reference_gru_forward(gates("gru2"), h1, want_cache)
     w_out = p["head.weights"][0]
-    o = sigmoid(h2 @ w_out + p["head.bias"][0])
+    heads = [(h2[:, t] * w_out).sum(-1) for t in range(h2.shape[1])]
+    o = sigmoid(np.stack(heads, axis=1) + p["head.bias"][0])
     if not want_cache:
         return o
     g_s = (2.0 * (o - target) / target.size) * o * (1.0 - o)
@@ -285,18 +319,39 @@ class TestGruKernelBits:
             assert g.tobytes() == ref_grads[name].tobytes(), name
 
     def test_forward_peak_memory(self, models):
-        # One (512, 71, 71) float64 array is 20.6 MB.  A 512-block forward runs
-        # as four 128-block tiles, each holding about five (71, 128, 71)
-        # arrays and no full-length gate arrays, so it stays far below the
-        # whole-batch bound checked here.
+        # Four 128-block tiles, as many at once as the pool has workers.
         y = np.random.default_rng(6).normal(1.5, 0.4, size=(512, 71))
-        tracemalloc.start()
-        try:
-            models["stored"].forward(y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * 512 * 71 * 71 * 8
+        running = min(4, nn_models._tile_workers())
+        assert _forward_peak(models["stored"], y) <= _forward_bound(512, 128, running)
+
+    def test_unsplit_forward_peak_memory(self, models):
+        # A calibration window's 100 blocks run as one pass on the caller's thread.
+        y = np.random.default_rng(5).normal(1.5, 0.4, size=(100, 71))
+        assert _forward_peak(models["stored"], y) <= _forward_bound(100, 100, 1)
+
+
+def _forward_peak(model, y) -> int:
+    """The peak bytes traced while ``model`` runs one forward of ``y``."""
+    tracemalloc.start()
+    try:
+        model.forward(y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _forward_bound(batch: int, rows: int, running: int, width: int = 71) -> int:
+    """The bytes a forward of ``batch`` blocks may hold, with ``running`` tiles of ``rows`` at once.
+
+    Besides its (batch, width) input, tile outputs and result, a running
+    tile of b rows holds (b, width) step buffers at h = N = width: two
+    states, two (2, b, h) gate stacks, two candidates, the (3, b, h)
+    projection and one scratch (12 arrays); the head sums and estimates
+    (2); sigmoid's scratch (up to 2); and the stacked weights (under 5 at
+    b >= 100): 21 arrays, of which 32 are allowed.  One full-length
+    (N, b, h) array, 4 MB at b = 100, breaks the bound.
+    """
+    return (3 * batch + 32 * rows * running) * width * 8
 
 
 FRESH_RNNS = {"n8-h23": (8, 23), "n8": (8, None), "n1": (1, None), "n33-h40": (33, 40)}
@@ -397,22 +452,11 @@ class TestTiledForward:
         assert out.tobytes() == model.forward(y[None, :])[0].tobytes()
 
     def test_split_forward_peak_memory(self, models, pool_of):
-        # A 128-block tile at N = h = 71 holds at most five (71, 128, 71)
-        # float64 arrays at once (5.2 MB each): the layer-1 output, then the
-        # layer-2 input projections (three) and its output, 26 MB per tile.
-        # Two workers run two tiles at once, 52 MB, next to the 1.2 MB input
-        # and output.  The whole-batch pass held five (71, 2048, 71) arrays,
-        # 421.5 MB; 100 MB leaves room for the tiles' step buffers.
+        # Two workers run two of the sixteen 128-block tiles at once.
         pool_of(2)
         model, n = models["stored"]
         y = np.random.default_rng(7).normal(1.5, 0.4, size=(2048, n))
-        tracemalloc.start()
-        try:
-            model.forward(y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 100e6
+        assert _forward_peak(model, y) <= _forward_bound(2048, 128, 2)
 
     def test_tile_error_propagates_and_pool_survives(self, models, monkeypatch, tmp_path, capsys):
         model, n = models["stored"]
