@@ -16,6 +16,11 @@ Gaussian variation and a fixed offset, setting the derivative to zero
 gives a quadratic in ``r`` whose minus branch is the closed-form optimum.
 An empirical search over simulated reads stays available as an
 independent check of both.
+
+``scipy.special`` is imported on first use, inside the three functions
+that call it, so that commands which never evaluate ``erfc`` or an
+incomplete Beta function (training, sessions, network-only evaluation)
+start without it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, betaln, erfc
 
 from . import detectors
 from .channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel,
@@ -60,6 +64,8 @@ class ThresholdResult:
 
 def q_function(t):
     """Standard normal tail probability, Q(t) = P(Z > t)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(t, dtype=np.float64) / _SQRT2)
 
 
@@ -139,6 +145,8 @@ def _beta_draw(excess):
 
 def _beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """Beta(a, b) density, 0 outside (0, 1)."""
+    from scipy.special import betaln
+
     inside = (x > 0.0) & (x < 1.0)
     xi = np.where(inside, x, 0.5)
     log_pdf = (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - betaln(a, b)
@@ -160,6 +168,8 @@ def ber_variable_offset(
         p0 = q_function((r_th - params.mu0) / params.sigma0)
         p1 = q_function(-(r_th - params.mu1 - b) / params.sigma1)
     else:
+        from scipy.special import betainc
+
         a0, a1 = beta_alpha_for_sigma(params.sigma0), beta_alpha_for_sigma(params.sigma1)
         p0 = betainc(BETA_SHAPE_RATIO * a0, a0, 1.0 - _beta_draw(r_th - params.mu0))
         p1 = betainc(a1, BETA_SHAPE_RATIO * a1, _beta_draw(r_th - params.mu1 - b))

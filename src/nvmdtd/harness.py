@@ -17,8 +17,10 @@ every parameter per row and follow the fixed schema::
 The reference thresholds come from :func:`analytic.reference_thresholds`:
 ``opt-full`` is the exact optimum under the channel's own variation law,
 Gaussian or centered-Beta, and ``optimum-bound`` is its exact BER, a row
-with ``bits = 0`` because nothing is simulated.  Rows that could not run
-(missing weight assets) carry NaN estimates and keep the sweep going.
+with ``bits = 0`` because nothing is simulated.  They are computed only
+at points that have an ``opt-*`` or ``optimum-bound`` row.  Rows that
+could not run (missing weight assets) carry NaN estimates and keep the
+sweep going.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> lis
     ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
     Missing assets produce NaN rows instead of aborting the sweep.  The
     simulated rows of a point are scored in one pass over the same blocks.
+    A point's reference thresholds are computed once, by its first ``opt-*``
+    or ``optimum-bound`` row, so a sweep without such rows never computes them.
     """
     assets = assets or {}
     rows = []
@@ -131,8 +135,9 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> lis
         point_seed = derive_seed(spec.seed, point_idx)
         eval_seed = derive_seed(point_seed, 0)
         calib_seed = derive_seed(point_seed, 1)
-        refs = analytic.reference_thresholds(params)
-        # Calibration blocks are sampled on first use and shared by the DTD rows.
+        # Reference thresholds and calibration blocks are made on first use;
+        # the opt-* and bound rows share the one, the DTD rows the other.
+        refs = functools.cache(functools.partial(analytic.reference_thresholds, params))
         calibration_blocks = functools.cache(functools.partial(
             sample_block_matrix, params, spec.n, spec.calib_blocks, calib_seed))
         simulated = []
@@ -152,7 +157,7 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> lis
     return rows
 
 
-def _detector_row(name: str, params: ChannelParams, refs: dict, assets: dict,
+def _detector_row(name: str, params: ChannelParams, refs, assets: dict,
                   spec: SweepSpec, calibration_blocks) -> tuple[dict, object]:
     """A detector's row and, when the row is simulated, the detector to score."""
     r_th = math.nan
@@ -160,11 +165,11 @@ def _detector_row(name: str, params: ChannelParams, refs: dict, assets: dict,
         if name == "midpoint":
             r_th = 0.5 * (params.mu0 + params.mu1)
             det = ThresholdDetector(r_th)
-        elif name in refs:
-            r_th = refs[name].r_th
+        elif name.startswith("opt-") and name in refs():
+            r_th = refs()[name].r_th
             det = ThresholdDetector(r_th)
         elif name == "optimum-bound":
-            full = refs["opt-full"]
+            full = refs()["opt-full"]
             return {"detector": name, "r_th": full.r_th, "errors": 0, "bits": 0,
                     "ber": full.ber, "ci": 0.0}, None
         elif name == "genie":

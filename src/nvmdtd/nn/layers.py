@@ -17,19 +17,18 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic; never overflows for finite input.
 
     With e = exp(-|z|) in [0, 1] this is 1 / (1 + e) for z >= 0 and
-    e / (1 + e) otherwise, so no exponent is positive; max(e, z >= 0) picks
-    the numerator.  ``out`` may be ``z`` itself.
+    e / (1 + e) otherwise, so no exponent is positive; the numerator is
+    exp(min(z, 0)).  ``out`` may be ``z`` itself.
     """
     z = np.asarray(z, dtype=np.float64)
-    nonneg = z >= 0
     if out is None:
         out = np.empty_like(z)
     den = np.negative(z, out=np.empty_like(z))
-    # minimum returns its first operand when both are NaN and maximum passes
-    # a NaN on, so a NaN input comes out with its sign.
-    e = np.exp(np.minimum(z, den, out=out), out=out)
-    np.add(e, 1.0, out=den)
-    return np.divide(np.maximum(e, nonneg, out=e), den, out=e)
+    # minimum returns its first operand when it is NaN, so a NaN input comes
+    # out with its sign.
+    np.add(np.exp(np.minimum(z, den, out=den), out=den), 1.0, out=den)
+    num = np.exp(np.minimum(z, 0.0, out=out), out=out)
+    return np.divide(num, den, out=num)
 
 
 def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

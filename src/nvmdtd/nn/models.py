@@ -89,7 +89,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,13 +243,15 @@ def count_params(model) -> int:
 
 
 @functools.cache
-def _tile_pool() -> ThreadPoolExecutor:
+def _tile_pool():
     """The process-wide pool running recurrent row tiles, with ``_tile_workers()`` workers.
 
     It is created on the first split forward and starts its threads on the
     first tiles, so importing the package or running only small batches
-    starts no thread.
+    starts no thread and does not import ``concurrent.futures``.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(_tile_workers(), thread_name_prefix="nvmdtd-rnn")
 
 

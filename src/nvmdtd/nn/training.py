@@ -63,10 +63,6 @@ class TrainResult:
     model: MlpModel | RnnModel
     history: list[EpochRecord]
 
-    @property
-    def curve(self) -> list[tuple[int, float]]:
-        return [(rec.epoch, rec.val_ber) for rec in self.history]
-
 
 def validation_ber(model, x_bits: np.ndarray, y_reads: np.ndarray,
                    chunk_blocks: int = 512) -> float:

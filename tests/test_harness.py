@@ -240,6 +240,37 @@ class TestRunSweep:
             assert len(rows) == 6 and all(row["bits"] == 250 * n for row in rows)
             assert sum(sampled) == spec.blocks_per_point + spec.calib_blocks, noise
 
+    def test_reference_thresholds_only_for_reference_rows(self, monkeypatch):
+        n = 8
+        rnn = create_model("rnn", n, np.random.default_rng(5), hidden=4)
+        network_only = SweepSpec(
+            points=_points((0.08, 0.10), (-0.2,), 0.04),
+            detectors=("rnn", "dtd-rnn", "genie"),
+            blocks_per_point=100,
+            calib_blocks=20,
+            seed=37,
+            n=n,
+        )
+        with_refs = dataclasses.replace(
+            network_only, detectors=network_only.detectors + ("opt-full", "optimum-bound"))
+        calls = []
+        real = analytic.reference_thresholds
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(analytic, "reference_thresholds", counting)
+        full_rows = run_sweep(with_refs, assets={"rnn": rnn})
+        assert calls == [params for _, params in with_refs.points]
+
+        def refuse(params):
+            raise AssertionError("reference thresholds computed for a network-only sweep")
+
+        monkeypatch.setattr(analytic, "reference_thresholds", refuse)
+        rows = run_sweep(network_only, assets={"rnn": rnn})
+        assert rows == [row for row in full_rows if not row["detector"].startswith("opt")]
+
     @pytest.mark.parametrize("points, detectors", [((), ("midpoint",)),
                                                     (_points((0.1,)), ())])
     def test_empty_points_or_detectors_rejected(self, points, detectors):
@@ -275,7 +306,7 @@ class TestTrainingCurve:
                           validation_blocks=30, seed=5)
         a = training_curve("rnn", params, cfg, n=12)
         b = training_curve("rnn", params, cfg, n=12)
-        assert a.curve == b.curve
+        assert a.history == b.history
 
 
 def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=None, n=71):

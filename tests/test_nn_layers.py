@@ -31,10 +31,10 @@ class TestActivations:
             return out
 
         edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
-                          710.0, -710.0, 745.0, -745.0, 1e-320, -1e-320])
+                          710.0, -710.0, 745.0, -745.0, 800.0, -800.0, 1e-320, -1e-320])
         rng = np.random.default_rng(3)
         draws = np.concatenate([rng.normal(0.0, scale, 20000) for scale in (1.0, 10.0, 300.0)])
-        for z in (edges, draws, draws.reshape(300, 200)):
+        for z in (edges, draws, draws.reshape(300, 200), draws[:284].reshape(2, 2, 71)):
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = masked(z).tobytes()
                 assert sigmoid(z).tobytes() == expected

@@ -38,7 +38,7 @@ class TestTrain:
         b = train("rnn", offset_channel, small_config(), n=16, hidden=8)
         for (name_a, arr_a), (_, arr_b) in zip(a.model.param_blocks(), b.model.param_blocks()):
             np.testing.assert_array_equal(arr_a, arr_b, err_msg=name_a)
-        assert a.curve == b.curve
+        assert a.history == b.history
 
     def test_fresh_model_near_half(self, offset_channel):
         rng = np.random.default_rng(0)
