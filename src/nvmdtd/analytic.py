@@ -143,13 +143,33 @@ def _beta_draw(excess):
     return np.clip(excess + BETA_MEAN, 0.0, 1.0)
 
 
-def _beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Beta(a, b) density, 0 outside (0, 1)."""
+@functools.lru_cache(maxsize=32)
+def _derivative_terms(params: ChannelParams, nodes: int):
+    """Per-point constants of :func:`ber_variable_offset_derivative`, built once per point.
+
+    A bisection evaluates the derivative about 32 times at one point.  The
+    terms are the offset nodes and weights (shared, so read-only) and, under
+    centered-Beta variation, each state's ``(a - 1, b - 1, betaln(a, b))``
+    for its Beta(a, b) draw; ``None`` for Gaussian variation.
+    """
+    b, w = _gh_offsets(params, nodes)
+    b.flags.writeable = w.flags.writeable = False
+    if params.noise_model is NoiseModel.GAUSSIAN:
+        return b, w, None
     from scipy.special import betaln
 
+    terms = []
+    for sigma in (params.sigma0, params.sigma1):
+        a = beta_alpha_for_sigma(sigma)
+        terms.append((a - 1.0, BETA_SHAPE_RATIO * a - 1.0, float(betaln(a, BETA_SHAPE_RATIO * a))))
+    return b, w, terms
+
+
+def _beta_pdf(x, am1: float, bm1: float, log_norm: float) -> np.ndarray:
+    """Beta(a, b) density from its terms ``(a - 1, b - 1, betaln(a, b))``, 0 outside (0, 1)."""
     inside = (x > 0.0) & (x < 1.0)
     xi = np.where(inside, x, 0.5)
-    log_pdf = (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - betaln(a, b)
+    log_pdf = am1 * np.log(xi) + bm1 * np.log1p(-xi) - log_norm
     return np.where(inside, np.exp(log_pdf), 0.0)
 
 
@@ -179,18 +199,24 @@ def ber_variable_offset(
 def ber_variable_offset_derivative(
     r_th: float, params: ChannelParams, nodes: int = GH_NODES_DEFAULT
 ) -> float:
-    """d/dr of :func:`ber_variable_offset`: half the difference of the two read densities."""
-    b, w = _gh_offsets(params, nodes)
-    if params.noise_model is NoiseModel.GAUSSIAN:
+    """d/dr of :func:`ber_variable_offset`: half the difference of the two read densities.
+
+    A Beta density vanishes wherever the draw would be clipped, so the
+    draws enter it unclipped.
+    """
+    b, w, beta_terms = _derivative_terms(params, nodes)
+    if beta_terms is None:
         u0 = (r_th - params.mu0) / params.sigma0
         f0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI / params.sigma0
         u1 = (r_th - params.mu1 - b) / params.sigma1
         e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
     else:
-        a0, a1 = beta_alpha_for_sigma(params.sigma0), beta_alpha_for_sigma(params.sigma1)
-        f0 = float(_beta_pdf(_beta_draw(r_th - params.mu0), a0, BETA_SHAPE_RATIO * a0))
-        e_f1 = float(np.dot(w, _beta_pdf(_beta_draw(r_th - params.mu1 - b),
-                                         a1, BETA_SHAPE_RATIO * a1)))
+        x0 = r_th - params.mu0 + BETA_MEAN
+        am1, bm1, log_norm = beta_terms[0]
+        f0 = 0.0
+        if 0.0 < x0 < 1.0:
+            f0 = float(np.exp(am1 * np.log(x0) + bm1 * np.log1p(-x0) - log_norm))
+        e_f1 = float(np.dot(w, _beta_pdf(r_th - params.mu1 - b + BETA_MEAN, *beta_terms[1])))
     return 0.5 * (e_f1 - f0)
 
 

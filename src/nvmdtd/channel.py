@@ -227,11 +227,12 @@ def sample_block_matrix(
     dataset can be produced independently.  A super-block draws, in this
     order and each as a (64, n) array: its bits (``integers(0, 2, (64, n),
     uint8)``); then the variation and the offset (``standard_normal`` each)
-    for a Gaussian channel, or the state-0 ``beta``, the state-1 ``beta``
-    and the offset (``standard_normal``) for centered-Beta.  The reads are
-    formed on those arrays.  Both outputs are allocated before anything is
-    drawn, then the covered rows of each super-block are copied in; a call
-    draws at most 63 blocks it does not return at each end of its range.
+    for a Gaussian channel, or for centered-Beta one ``beta(a, 1.2 * a)``
+    with per-read shapes ``a = where(bit, a1, a0)`` and the offset
+    (``standard_normal``).  The reads are formed on those arrays.  Both
+    outputs are allocated before anything is drawn, then the covered rows of
+    each super-block are copied in; a call draws at most 63 blocks it does
+    not return at each end of its range.
     """
     if n < 1:
         raise ParameterError(f"block length must be >= 1, got {n}")
@@ -256,8 +257,8 @@ def sample_block_matrix(
         if gaussian:
             noise = np.where(one, params.sigma1, params.sigma0) * rng.standard_normal(shape)
         else:
-            noise = rng.beta(a0, BETA_SHAPE_RATIO * a0, shape)
-            np.copyto(noise, rng.beta(a1, BETA_SHAPE_RATIO * a1, shape), where=one)
+            a = np.where(one, a1, a0)
+            noise = rng.beta(a, BETA_SHAPE_RATIO * a)
             noise -= BETA_MEAN
         offset = params.offset_mu_b + params.offset_sigma_b * rng.standard_normal(shape)
         reads = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)

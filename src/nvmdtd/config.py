@@ -126,10 +126,14 @@ def _check_type(here: str, base, value) -> None:
 
 
 def _merge(defaults, user, path: str):
-    """Overlay user values on defaults, rejecting unknown keys and mistyped values."""
+    """Overlay user values on defaults, rejecting unknown keys and mistyped values.
+
+    The result keeps the defaults' key order, and each default the user
+    leaves alone is copied once.
+    """
     if not isinstance(user, dict):
         raise ConfigError(f"{path or '<root>'}: expected an object, got {type(user).__name__}")
-    out = copy.deepcopy(defaults)
+    out = {}
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -146,7 +150,7 @@ def _merge(defaults, user, path: str):
         else:
             _check_type(here, base, value)
             out[key] = copy.deepcopy(value)
-    return out
+    return {key: out[key] if key in out else copy.deepcopy(base) for key, base in defaults.items()}
 
 
 def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:

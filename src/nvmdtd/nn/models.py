@@ -214,7 +214,7 @@ class RnnModel(_Network):
         g_s = (2.0 * (o - tb) / tb.size) * o * (1.0 - o)
         d_h2 = g_s.T[:, :, None] * w_out
         g2, d_h1 = _gru_layer_backward(cache2, d_h2)
-        g1, _ = _gru_layer_backward(cache1, d_h1)
+        g1, _ = _gru_layer_backward(cache1, d_h1, input_grad=False)
         grads = {f"gru1.{gate}": g for gate, g in g1.items()}
         grads.update((f"gru2.{gate}", g) for gate, g in g2.items())
         h2 = cache2["h"][1:].transpose(1, 0, 2)
@@ -388,14 +388,16 @@ def _gru_step(layer: dict, x, h, h_new, zr, c, scratch) -> None:
     h_new += prod
 
 
-def _gru_layer_backward(cache: dict, d_out: np.ndarray):
+def _gru_layer_backward(cache: dict, d_out: np.ndarray, input_grad: bool = True):
     """Backpropagate through one recurrent layer from its ``_rnn_steps`` cache.
 
     ``d_out[t]`` is the time-major (B, h) loss gradient at the layer's
     step-t output.  The recurrence is unrolled in reverse, carrying the
     gradient through the previous hidden state; weight gradients are then
     formed in one matmul per block from the accumulated per-step gate
-    gradients.  Returns those gradients and the time-major input gradient.
+    gradients.  Returns those gradients and the time-major input gradient,
+    or ``None`` for it when ``input_grad`` is false (the first layer's
+    input is the reads, which nothing trains).
     """
     layer, zr, c, x_seq = cache["layer"], cache["zr"], cache["c"], cache["x"]
     z, r = zr[:, 0], zr[:, 1]
@@ -437,6 +439,8 @@ def _gru_layer_backward(cache: dict, d_out: np.ndarray):
         "w_r": rr.T @ xs, "u_r": rr.T @ hp_flat, "b_r": rr.sum(axis=0),
         "w_h": rc.T @ xs, "u_h": rc.T @ rh_flat, "b_h": rc.sum(axis=0),
     }
+    if not input_grad:
+        return grads, None
     d_x = (batch_major(da_z) @ layer["w_z"] + batch_major(da_r) @ layer["w_r"]
            + batch_major(da_c) @ layer["w_h"])
     return grads, batch_major(d_x)

@@ -18,7 +18,8 @@ from nvmdtd.analytic import (
     q_function,
     reference_thresholds,
 )
-from nvmdtd.channel import ChannelParams, NoiseModel, sample_block_matrix
+from nvmdtd.channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel,
+                            beta_alpha_for_sigma, sample_block_matrix)
 from nvmdtd.detectors import ThresholdDetector, threshold_detect
 from nvmdtd.harness import estimate_ber
 from nvmdtd.errors import ParameterError, UnsupportedModelError
@@ -109,6 +110,55 @@ class TestBerDerivative:
     def test_strongly_negative_near_mu0(self):
         p = ChannelParams(1.0, 2.0, 0.02, 0.04)
         assert ber_derivative(1.0, p, 0.0) < -1.0
+
+
+def _reference_derivative(r_th, params, nodes):
+    """The derivative's formula with every term formed afresh on each call."""
+    from scipy.special import betaln
+
+    if params.offset_sigma_b == 0.0:
+        b, w = np.array([params.offset_mu_b]), np.ones(1)
+    else:
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        b = params.offset_mu_b + math.sqrt(2.0) * params.offset_sigma_b * t
+        w = w / math.sqrt(math.pi)
+    if params.noise_model is NoiseModel.GAUSSIAN:
+        u0 = (r_th - params.mu0) / params.sigma0
+        f0 = math.exp(-0.5 * u0 * u0) / math.sqrt(2.0 * math.pi) / params.sigma0
+        u1 = (r_th - params.mu1 - b) / params.sigma1
+        e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / math.sqrt(2.0 * math.pi))) / params.sigma1
+        return 0.5 * (e_f1 - f0)
+
+    def pdf(excess, sigma):
+        a = beta_alpha_for_sigma(sigma)
+        x = np.clip(excess + BETA_MEAN, 0.0, 1.0)
+        inside = (x > 0.0) & (x < 1.0)
+        xi = np.where(inside, x, 0.5)
+        log_pdf = ((a - 1.0) * np.log(xi) + (BETA_SHAPE_RATIO * a - 1.0) * np.log1p(-xi)
+                   - betaln(a, BETA_SHAPE_RATIO * a))
+        return np.where(inside, np.exp(log_pdf), 0.0)
+
+    f0 = float(pdf(r_th - params.mu0, params.sigma0))
+    e_f1 = float(np.dot(w, pdf(r_th - params.mu1 - b, params.sigma1)))
+    return 0.5 * (e_f1 - f0)
+
+
+class TestDerivativePinned:
+    """The derivative equals its formula bit for bit, per-point terms cached or not."""
+
+    @pytest.mark.parametrize("noise_model", list(NoiseModel), ids=lambda m: m.value)
+    def test_equals_the_formula(self, noise_model):
+        rng = np.random.default_rng(19)
+        for i in range(1200):
+            sigma_b = 0.0 if i % 5 == 0 else rng.uniform(0.0, 0.1)
+            p = ChannelParams.from_ratio(rng.uniform(0.03, 0.14), mu_b=rng.uniform(-0.4, 0.2),
+                                         sigma_b_over_mu1=sigma_b, noise_model=noise_model)
+            nodes = (8, 64)[i % 2]
+            # Reads from below the state-0 support to above the state-1 one.
+            for r in (rng.uniform(0.3, 2.8), rng.uniform(1.0, 2.0)):
+                got = ber_variable_offset_derivative(r, p, nodes)
+                assert got == _reference_derivative(r, p, nodes), (i, r, p, nodes)
+        assert analytic._derivative_terms.cache_info().maxsize is not None  # bounded
 
 
 class TestClosedForm:
@@ -223,7 +273,9 @@ class TestBisection:
             return params.offset_mu_b + math.sqrt(2.0) * params.offset_sigma_b * t, w / math.sqrt(math.pi)
 
         monkeypatch.setattr(analytic, "_gh_offsets", fresh_offsets)
+        analytic._derivative_terms.cache_clear()  # so the bisection also sees fresh offsets
         fresh = optimal_threshold_bisection(offset_channel)
+        analytic._derivative_terms.cache_clear()
         assert (cached.r_th, cached.ber) == (fresh.r_th, fresh.ber)
 
 

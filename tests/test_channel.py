@@ -172,11 +172,8 @@ def _reference_superblock(params: ChannelParams, n: int, seed: int, k: int):
     if params.noise_model is NoiseModel.GAUSSIAN:
         noise = np.where(one, params.sigma1, params.sigma0) * rng.standard_normal(shape)
     else:
-        a0 = beta_alpha_for_sigma(params.sigma0)
-        a1 = beta_alpha_for_sigma(params.sigma1)
-        v0 = rng.beta(a0, BETA_SHAPE_RATIO * a0, shape)
-        v1 = rng.beta(a1, BETA_SHAPE_RATIO * a1, shape)
-        noise = np.where(one, v1, v0) - BETA_MEAN
+        a = np.where(one, beta_alpha_for_sigma(params.sigma1), beta_alpha_for_sigma(params.sigma0))
+        noise = rng.beta(a, BETA_SHAPE_RATIO * a) - BETA_MEAN
     offset = params.offset_mu_b + params.offset_sigma_b * rng.standard_normal(shape)
     y = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
     return x, y
@@ -266,6 +263,58 @@ class TestBulkSeeding:
             sample_block_matrix(offset_channel, 0, 2, seed=1)
         with pytest.raises(ParameterError):
             sample_block_matrix(offset_channel, 5, -1, seed=1)
+
+
+class _RecordingStream:
+    """A super-block stream that records each draw call by name and arguments."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self._calls.append((name, args, kwargs))
+            return draw(*args, **kwargs)
+        return recorded
+
+
+class TestDrawOrder:
+    """Each super-block's draws, by name and shape: the v3 scheme."""
+
+    @pytest.mark.parametrize("n", [1, 71])
+    @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
+    def test_draws_per_superblock(self, monkeypatch, params, n):
+        calls = []
+        monkeypatch.setattr(channel, "superblock_stream",
+                            lambda seed, k: _RecordingStream(superblock_stream(seed, k), calls))
+        sample_block_matrix(params, n, 3, seed=5, start=62)  # two super-blocks
+        names = [name for name, _, _ in calls]
+        if params.noise_model is NoiseModel.GAUSSIAN:
+            assert names == ["integers", "standard_normal", "standard_normal"] * 2
+            return
+        assert names == ["integers", "beta", "standard_normal"] * 2
+        for name, args, kwargs in calls:
+            if name == "beta":
+                assert kwargs == {} and len(args) == 2
+                assert [np.shape(arg) for arg in args] == [(K, n), (K, n)]
+
+    def test_beta_variates_follow_each_state_law(self):
+        """A fixed-seed KS test of the raw Beta(a_s, 1.2 a_s) variates of each state."""
+        from scipy.stats import kstest
+
+        p = ChannelParams.from_ratio(0.12, noise_model=NoiseModel.CENTERED_BETA)
+        x, y = sample_block_matrix(p, 71, 1000, seed=19)
+        states = ((0, p.mu0, p.sigma0, p.sigma1), (1, p.mu1, p.sigma1, p.sigma0))
+        for state, mu, sigma, other in states:
+            draws = y[x == state] - mu + BETA_MEAN
+            assert draws.size > 30_000
+            a = beta_alpha_for_sigma(sigma)
+            assert kstest(draws, "beta", args=(a, BETA_SHAPE_RATIO * a)).pvalue > 0.01, state
+            # The test has the power to tell the two states' laws apart.
+            a = beta_alpha_for_sigma(other)
+            assert kstest(draws, "beta", args=(a, BETA_SHAPE_RATIO * a)).pvalue < 1e-6, state
 
 
 class TestQuantizer:

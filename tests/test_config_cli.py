@@ -18,6 +18,7 @@ from nvmdtd import harness
 from nvmdtd.analytic import optimal_threshold_bisection
 from nvmdtd.channel import NoiseModel, load_dataset
 from nvmdtd.config import (
+    DEFAULT_CONFIG,
     channel_params,
     load_config,
     quantizer_spec,
@@ -91,6 +92,30 @@ class TestResolveConfig:
         segs = cfg["session"]["segments"]
         assert segs[0]["channel"]["mu0"] == 1.0
         assert segs[1]["channel"]["mu_b"] == -0.3
+
+    def test_resolved_configs_share_nothing(self):
+        """Mutating a resolved config changes no default, user document or other resolved config."""
+        def scramble(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in list(items):
+                if isinstance(value, (dict, list)):
+                    scramble(value)
+                node[key] = "scrambled"
+            if isinstance(node, list):
+                node.append("scrambled")
+
+        user = {"seed": 3, "channel": {"ratio": 0.1}, "eval": {"detectors": ["midpoint"]},
+                "session": {"segments": [{"start_block": 0, "channel": {"mu_b": -0.3}}]}}
+        defaults, user_copy = json.dumps(DEFAULT_CONFIG), json.dumps(user)
+        first, second = resolve_config(user), resolve_config(user)
+        expected = json.dumps(second)
+        assert list(first) == list(DEFAULT_CONFIG)
+        assert all(list(first[k]) == list(v) for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict))
+        scramble(first)
+        assert json.dumps(DEFAULT_CONFIG) == defaults
+        assert json.dumps(user) == user_copy
+        assert json.dumps(second) == expected
+        assert json.dumps(resolve_config(user)) == expected
 
     def test_load_config_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
