@@ -9,12 +9,9 @@ optimum detectors via Monte-Carlo bit-error-rate estimation.
 from .analytic import (
     Method,
     ThresholdResult,
-    ber_derivative,
-    ber_fixed_offset,
     ber_variable_offset,
     optimal_threshold_bisection,
     optimal_threshold_closed_form,
-    optimal_threshold_empirical,
     q_function,
     reference_thresholds,
 )

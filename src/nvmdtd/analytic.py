@@ -14,8 +14,7 @@ is taken by Gauss-Hermite quadrature (a fixed offset is a one-node rule),
 and the minimizing threshold is found by bisecting the derivative.  For
 Gaussian variation and a fixed offset, setting the derivative to zero
 gives a quadratic in ``r`` whose minus branch is the closed-form optimum.
-An empirical search over simulated reads stays available as an
-independent check of both.
+The module takes only channel parameters as input: it samples no reads.
 
 ``scipy.special`` is imported on first use, inside the three functions
 that call it, so that commands which never evaluate ``erfc`` or an
@@ -32,10 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import detectors
-from .channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel,
-                      beta_alpha_for_sigma, sample_block_matrix)
-from .errors import NoRootError, ParameterError, UnsupportedModelError
+from .channel import BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel, beta_alpha_for_sigma
+from .errors import NoRootError, UnsupportedModelError
 
 GH_NODES_DEFAULT = 64
 BISECTION_WIDTH = 1e-9
@@ -49,7 +46,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class Method(Enum):
     CLOSED_FORM = "closed-form"
     BISECTION = "bisection"
-    EMPIRICAL_SEARCH = "empirical-search"
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,6 @@ class ThresholdResult:
     r_th: float
     ber: float
     method: Method
-    warning: str | None = None
 
 
 def q_function(t):
@@ -76,16 +71,6 @@ def _require_gaussian(params: ChannelParams) -> None:
         )
 
 
-def ber_fixed_offset(r_th: float, params: ChannelParams, b: float) -> float:
-    """Threshold-detector BER when every high-state read is offset by exactly ``b``."""
-    return ber_variable_offset(r_th, replace(params, offset_mu_b=b, offset_sigma_b=0.0))
-
-
-def ber_derivative(r_th: float, params: ChannelParams, b: float) -> float:
-    """d/dr of :func:`ber_fixed_offset`; zero at the optimum threshold."""
-    return ber_variable_offset_derivative(r_th, replace(params, offset_mu_b=b, offset_sigma_b=0.0))
-
-
 def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> ThresholdResult:
     """BER-minimizing threshold for Gaussian variation and a fixed offset ``b``.
 
@@ -93,7 +78,8 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     by ``b``; equal variances degenerate to the midpoint (mu0 + mu1 + b)/2.
     A local-minimality probe guards the corner cases where the quadratic
     loses precision (variances equal to within about 1e-11) and falls back to
-    bisecting the derivative of the same objective.
+    bisecting the derivative of the same objective, as does a sigma ratio
+    that underflows to 0.
     """
     _require_gaussian(params)
     fixed = replace(params, offset_mu_b=b, offset_sigma_b=0.0)
@@ -101,6 +87,8 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     s0, s1 = params.sigma0, params.sigma1
     if abs(s0 - s1) < 1e-12 * s0:
         r = 0.5 * (params.mu0 + params.mu1 + b)
+    elif s0 / s1 == 0.0:  # log(s0 / s1) is beyond float range, and so is the quadratic
+        r = optimal_threshold_bisection(fixed).r_th
     else:
         d0, d1 = s0 * s0, s1 * s1
         disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
@@ -227,15 +215,19 @@ def optimal_threshold_bisection(
 
     Starts from the bracket [mu0, mu1 + max(0, offset mean)] and widens it
     in 0.1 kOhm steps until the derivative changes sign, then bisects down
-    to a 1e-9 kOhm interval.  Works for both noise models and for fixed
-    (sigma_b = 0) as well as random offsets.
+    to a 1e-9 kOhm interval, or until no float lies strictly between the
+    ends (at resistances of 2^23 kOhm and above, where floats are coarser
+    than 1e-9).  Works for both noise models and for fixed (sigma_b = 0) as
+    well as random offsets.
     """
     lo = params.mu0
     hi = params.mu1 + max(0.0, params.offset_mu_b)
     f = lambda r: ber_variable_offset_derivative(r, params, nodes)
     flo, fhi = f(lo), f(hi)
     expansions = 0
-    while flo * fhi > 0:
+    # Signs are compared, not multiplied: far from kOhm scale the product
+    # of two small derivatives underflows to 0 and would pass for a sign change.
+    while (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
         expansions += 1
         if expansions > BRACKET_MAX_EXPANSIONS:
             raise NoRootError(
@@ -247,11 +239,13 @@ def optimal_threshold_bisection(
         flo, fhi = f(lo), f(hi)
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fmid = f(mid)
         if fmid == 0.0:
             lo = hi = mid
             break
-        if flo * fmid < 0:
+        if flo < 0.0 < fmid or fmid < 0.0 < flo:
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
@@ -275,29 +269,3 @@ def reference_thresholds(params: ChannelParams) -> dict[str, ThresholdResult]:
         "opt-mean-offset": optimal_threshold_closed_form(gaussian_view, b=params.offset_mu_b),
         "opt-full": optimal_threshold_bisection(params),
     }
-
-
-def optimal_threshold_empirical(
-    params: ChannelParams, nblocks: int, seed: int, n: int = 71
-) -> ThresholdResult:
-    """Empirical optimum threshold from simulated reads: an independent check of the bisection.
-
-    Pools ``nblocks`` blocks and reuses the dynamic-threshold sweep with the
-    true bits as labels, so the returned threshold exactly minimizes the
-    empirical error count.  Results from fewer than 100 blocks carry a
-    warning instead of failing.
-    """
-    if nblocks < 1:
-        raise ParameterError(f"need at least one block, got {nblocks}")
-    x, y = sample_block_matrix(params, n, nblocks, seed)
-    sweep = detectors.dtd_search(y, x)
-    total_bits = nblocks * n
-    warning = None
-    if nblocks < 100:
-        warning = f"empirical search over only {nblocks} blocks; threshold is noisy"
-    return ThresholdResult(
-        r_th=sweep.r_adj,
-        ber=sweep.objective / total_bits,
-        method=Method.EMPIRICAL_SEARCH,
-        warning=warning,
-    )

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, require_indexable
 
 # Raw Beta(alpha, 1.2*alpha) facts used by the skewed-noise mode: the draw
 # lives on [0, 1] with mean 1/2.2, and its variance never exceeds the
@@ -240,6 +240,7 @@ def sample_block_matrix(
         raise ParameterError(f"block count must be >= 0, got {nblocks}")
     if seed < 0 or start < 0:
         raise ParameterError("seed and block index must be non-negative")
+    require_indexable((nblocks, n))
     x = np.empty((nblocks, n), dtype=np.uint8)
     y = np.empty((nblocks, n), dtype=np.float64)
     gaussian = params.noise_model is NoiseModel.GAUSSIAN

@@ -7,8 +7,8 @@ every command: resolve, create ``--out``, run, then echo the resolved config
 to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
 
 Exit codes: 0 success, 2 configuration or parameter problem, 3 numeric
-failure (training divergence, root bracketing), 4 missing or unreadable
-asset.
+failure (training divergence, root bracketing, a finite channel value that
+overflows or underflows the float arithmetic), 4 missing or unreadable asset.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         if out is not None:
             echo_config(cfg, out, args.command)
         return EXIT_OK
-    except (DivergenceError, NoRootError) as exc:
+    except (DivergenceError, NoRootError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (MissingAssetError, FormatError) as exc:

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract, so new failure modes
-should reuse one of the classes below rather than raising bare builtins.
+should reuse one of the classes below rather than raising bare builtins;
+``require_indexable`` does so for array sizes numpy cannot index.
 """
+
+import math
+import sys
 
 
 class NvmdtdError(Exception):
@@ -35,3 +39,15 @@ class ConfigError(NvmdtdError):
 
 class MissingAssetError(NvmdtdError):
     """A required asset (typically a trained weight file) is absent."""
+
+
+def require_indexable(shape: tuple[int, ...]) -> None:
+    """Raise ParameterError for an array shape beyond numpy's index range.
+
+    numpy rejects a dimension, or a byte count, above the largest signed
+    index with a bare ValueError; a shape inside that range but too large
+    for memory still raises MemoryError when it is allocated.  The byte
+    count assumes 8-byte elements, the widest dtype the package allocates.
+    """
+    if max(shape) > sys.maxsize or math.prod(shape) * 8 > sys.maxsize:
+        raise ParameterError(f"an array of shape {shape} is beyond numpy's index range")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, require_indexable
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -35,5 +35,6 @@ def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator) -> np.nd
     """Weights i.i.d. uniform on [-L, L] with L = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ParameterError(f"matrix dims must be positive, got ({rows}, {cols})")
+    require_indexable((rows, cols))
     limit = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))

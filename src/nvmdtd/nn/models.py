@@ -412,7 +412,7 @@ def _gru_layer_backward(cache: dict, d_out: np.ndarray, input_grad: bool = True)
     carry = np.zeros((nb, h_dim))
     d_zr = np.empty((2, nb, h_dim))
     dh, prod = np.empty((nb, h_dim)), np.empty((nb, h_dim))
-    u_zr = np.stack([layer["u_z"], layer["u_r"]])
+    u_zr = layer["u_zr"].transpose(0, 2, 1)  # the stacked (u_z, u_r) of _step_weights
     for t in range(nt - 1, -1, -1):
         np.add(d_out[t], carry, out=dh)
         np.multiply(dh, c_minus_h[t], out=d_zr[0])

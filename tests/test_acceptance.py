@@ -14,13 +14,14 @@ from nvmdtd.analytic import (
     ber_variable_offset,
     optimal_threshold_bisection,
     optimal_threshold_closed_form,
-    optimal_threshold_empirical,
 )
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.harness import dtd_calibrate, estimate_ber, estimate_ber_paired
 from nvmdtd.nn.models import count_params, create_model
 from nvmdtd.nn.training import TrainConfig, train
+
+from empirical import empirical_threshold
 
 RATIOS = (0.05, 0.08, 0.10, 0.12)
 TEN_MILLION_BITS_BLOCKS = math.ceil(1e7 / 71)
@@ -284,11 +285,11 @@ def test_c9_beta_channel_empirical_beats_gaussian_assumption():
                                      noise_model=NoiseModel.CENTERED_BETA)
         gauss_view = ChannelParams(p.mu0, p.mu1, p.sigma0, p.sigma1,
                                    p.offset_mu_b, p.offset_sigma_b)
-        emp = optimal_threshold_empirical(p, 30_000, seed=derive_seed(900, int(ratio * 100)))
+        emp_r, _ = empirical_threshold(p, 30_000, seed=derive_seed(900, int(ratio * 100)))
         curve2 = optimal_threshold_closed_form(gauss_view, b=p.offset_mu_b)
         eval_seed = derive_seed(901, int(ratio * 100))
         e_emp, e_gauss = estimate_ber_paired(
-            [ThresholdDetector(emp.r_th), ThresholdDetector(curve2.r_th)], p, 30_000, seed=eval_seed
+            [ThresholdDetector(emp_r), ThresholdDetector(curve2.r_th)], p, 30_000, seed=eval_seed
         )
         if e_emp.ber > e_gauss.ber:
             failures.append(f"ratio={ratio}: emp={e_emp.ber:.3e} > gauss={e_gauss.ber:.3e}")

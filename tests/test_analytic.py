@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ from nvmdtd import analytic
 
 from nvmdtd.analytic import (
     Method,
-    ber_derivative,
-    ber_fixed_offset,
     ber_variable_offset,
     ber_variable_offset_derivative,
     optimal_threshold_bisection,
     optimal_threshold_closed_form,
-    optimal_threshold_empirical,
     q_function,
     reference_thresholds,
 )
@@ -22,7 +20,9 @@ from nvmdtd.channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseMod
                             beta_alpha_for_sigma, sample_block_matrix)
 from nvmdtd.detectors import ThresholdDetector, threshold_detect
 from nvmdtd.harness import estimate_ber
-from nvmdtd.errors import ParameterError, UnsupportedModelError
+from nvmdtd.errors import UnsupportedModelError
+
+from empirical import empirical_threshold
 
 
 def golden_min(f, a, c, tol=1e-11):
@@ -40,6 +40,11 @@ def golden_min(f, a, c, tol=1e-11):
             x2 = a + invphi * (c - a)
             f2 = f(x2)
     return 0.5 * (a + c)
+
+
+def fixed(params, b):
+    """``params`` with every high-state read offset by exactly ``b``."""
+    return replace(params, offset_mu_b=b, offset_sigma_b=0.0)
 
 
 class TestQFunction:
@@ -62,11 +67,11 @@ class TestQFunction:
 class TestBerFixedOffset:
     def test_symmetric_midpoint(self):
         p = ChannelParams(1.0, 2.0, 0.1, 0.1)
-        assert ber_fixed_offset(1.5, p, 0.0) == pytest.approx(float(q_function(0.5 / 0.1)), rel=1e-12)
+        assert ber_variable_offset(1.5, fixed(p, 0.0)) == pytest.approx(float(q_function(0.5 / 0.1)), rel=1e-12)
 
     def test_threshold_far_left(self):
         p = ChannelParams.from_ratio(0.05)
-        assert ber_fixed_offset(-50.0, p, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert ber_variable_offset(-50.0, fixed(p, 0.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_monte_carlo_agreement(self):
         p = ChannelParams.from_ratio(0.12)
@@ -81,7 +86,7 @@ class TestBerFixedOffset:
         # The BER itself is exact for both noise models; only the closed-form
         # optimum is Gaussian by nature.
         p = ChannelParams.from_ratio(0.05, noise_model=NoiseModel.CENTERED_BETA)
-        assert 0.0 <= ber_fixed_offset(1.5, p, 0.0) < 1e-12
+        assert 0.0 <= ber_variable_offset(1.5, fixed(p, 0.0)) < 1e-12
         with pytest.raises(UnsupportedModelError):
             optimal_threshold_closed_form(p, b=0.0)
 
@@ -90,7 +95,7 @@ class TestBerDerivative:
     def test_zero_at_closed_form_root(self):
         p = ChannelParams(1.0, 2.0, 0.05, 0.10)
         res = optimal_threshold_closed_form(p, b=0.0)
-        assert abs(ber_derivative(res.r_th, p, 0.0)) < 1e-10
+        assert abs(ber_variable_offset_derivative(res.r_th, fixed(p, 0.0))) < 1e-10
 
     def test_matches_finite_differences(self):
         # The difference quotient carries cancellation noise of roughly
@@ -101,15 +106,15 @@ class TestBerDerivative:
         for _ in range(100):
             ratio = rng.uniform(0.03, 0.15)
             b = rng.uniform(-0.3, 0.1)
-            p = ChannelParams.from_ratio(ratio)
+            p = fixed(ChannelParams.from_ratio(ratio), b)
             r = rng.uniform(1.05, 1.9)
-            fd = (ber_fixed_offset(r + h, p, b) - ber_fixed_offset(r - h, p, b)) / (2 * h)
-            an = ber_derivative(r, p, b)
+            fd = (ber_variable_offset(r + h, p) - ber_variable_offset(r - h, p)) / (2 * h)
+            an = ber_variable_offset_derivative(r, p)
             assert an == pytest.approx(fd, rel=1e-6, abs=2e-9)
 
     def test_strongly_negative_near_mu0(self):
         p = ChannelParams(1.0, 2.0, 0.02, 0.04)
-        assert ber_derivative(1.0, p, 0.0) < -1.0
+        assert ber_variable_offset_derivative(1.0, fixed(p, 0.0)) < -1.0
 
 
 def _reference_derivative(r_th, params, nodes):
@@ -169,7 +174,7 @@ class TestClosedForm:
     def test_against_golden_section(self):
         p = ChannelParams(1.0, 2.0, 0.05, 0.10)
         res = optimal_threshold_closed_form(p, b=0.0)
-        oracle = golden_min(lambda r: ber_fixed_offset(r, p, 0.0), 1.0, 2.0)
+        oracle = golden_min(lambda r: ber_variable_offset(r, fixed(p, 0.0)), 1.0, 2.0)
         assert res.r_th == pytest.approx(oracle, abs=1e-6)
         assert res.r_th == pytest.approx(1.3368, abs=5e-5)
         assert res.method is Method.CLOSED_FORM
@@ -187,11 +192,18 @@ class TestClosedForm:
         p = ChannelParams(1.0, 3.0, 0.3, 0.3 * (1 + 2e-12))
         assert optimal_threshold_closed_form(p, b=0.0).r_th == pytest.approx(2.0, abs=1e-8)
 
+    def test_underflowing_sigma_ratio_bisects(self):
+        # sigma0 / sigma1 underflows to 0, so log(sigma0 / sigma1) has no float value.
+        p = ChannelParams.from_ratio(0.05, mu0=2.6e-195, mu1=5e152)
+        res = optimal_threshold_closed_form(p, b=0.0)
+        assert res.r_th == optimal_threshold_bisection(p).r_th
+        assert p.mu0 < res.r_th < p.mu1
+
     def test_dominates_grid(self):
         p = ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04)
         res = optimal_threshold_closed_form(p, b=p.offset_mu_b)
         grid = np.linspace(p.mu0, p.mu1 + abs(p.offset_mu_b) + 4 * p.offset_sigma_b, 10_000)
-        best = min(ber_fixed_offset(float(r), p, p.offset_mu_b) for r in grid)
+        best = min(ber_variable_offset(float(r), fixed(p, p.offset_mu_b)) for r in grid)
         assert res.ber <= best + 1e-15
 
 
@@ -199,7 +211,7 @@ class TestVariableOffset:
     def test_degenerate_sigma_b(self):
         p = ChannelParams.from_ratio(0.05, mu_b=-0.2, sigma_b_over_mu1=0.0)
         for r in (1.2, 1.4, 1.6):
-            assert ber_variable_offset(r, p) == ber_fixed_offset(r, p, -0.2)
+            assert ber_variable_offset(r, p) == ber_variable_offset(r, fixed(p, -0.2))
 
     def test_gaussian_convolution_identity(self, offset_channel):
         p = offset_channel
@@ -255,6 +267,19 @@ class TestBisection:
         best = min(ber_variable_offset(float(r), p) for r in fine)
         assert abs(bi.ber - best) < 1e-12
 
+    # From 2^23 kOhm up, adjacent floats are further apart than the 1e-9 kOhm
+    # width, so the bisection must stop when no float lies between its ends.
+    # At 1e200 the product of the two end derivatives underflows to 0.
+    @pytest.mark.parametrize("mu0", [2.0 ** 23, 1e7, 1e20, 1e200])
+    def test_terminates_where_floats_are_coarser_than_the_width(self, mu0):
+        scaled = ChannelParams.from_ratio(0.05, mu_b=-0.1 * mu0, sigma_b_over_mu1=0.04,
+                                          mu0=mu0, mu1=2.0 * mu0)
+        unit = ChannelParams.from_ratio(0.05, mu_b=-0.1, sigma_b_over_mu1=0.04)
+        opt = optimal_threshold_bisection(scaled)
+        assert scaled.mu0 < opt.r_th < scaled.mu1
+        # The channel law is scale-invariant, so the BER is the unit channel's.
+        assert opt.ber == pytest.approx(optimal_threshold_bisection(unit).ber, rel=1e-6)
+
     def test_derivative_root(self, offset_channel):
         opt = optimal_threshold_bisection(offset_channel)
         assert abs(ber_variable_offset_derivative(opt.r_th, offset_channel)) < 1e-9
@@ -281,22 +306,15 @@ class TestBisection:
 
 class TestEmpirical:
     def test_gaussian_consistency(self, active_offset_channel):
-        emp = optimal_threshold_empirical(active_offset_channel, 100_000, seed=987)
+        emp_r, _ = empirical_threshold(active_offset_channel, 100_000, seed=987)
         bi = optimal_threshold_bisection(active_offset_channel)
-        assert abs(emp.r_th - bi.r_th) < 0.01
-        assert emp.method is Method.EMPIRICAL_SEARCH
-        assert emp.warning is None
+        assert abs(emp_r - bi.r_th) < 0.01
 
     def test_noise_free_limit(self):
         p = ChannelParams(1.0, 2.0, 1e-9, 2e-9)
-        emp = optimal_threshold_empirical(p, 200, seed=5)
-        assert 1.0 < emp.r_th < 2.0
-        assert emp.ber == 0.0
-
-    def test_small_sample_warning(self):
-        p = ChannelParams.from_ratio(0.10)
-        emp = optimal_threshold_empirical(p, 50, seed=5)
-        assert emp.warning is not None
+        emp_r, emp_ber = empirical_threshold(p, 200, seed=5)
+        assert 1.0 < emp_r < 2.0
+        assert emp_ber == 0.0
 
     def test_beta_dominates_gaussian_threshold_on_same_sample(self):
         p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07,
@@ -304,15 +322,11 @@ class TestEmpirical:
         gauss_view = ChannelParams(p.mu0, p.mu1, p.sigma0, p.sigma1,
                                    p.offset_mu_b, p.offset_sigma_b)
         nblocks, seed = 20_000, 77
-        emp = optimal_threshold_empirical(p, nblocks, seed=seed)
+        _, emp_ber = empirical_threshold(p, nblocks, seed=seed)
         curve2 = optimal_threshold_closed_form(gauss_view, b=p.offset_mu_b)
         x, y = sample_block_matrix(p, 71, nblocks, seed=seed)
         errors_gauss = int(np.count_nonzero(threshold_detect(y, curve2.r_th) != x))
-        assert emp.ber <= errors_gauss / x.size
-
-    def test_rejects_zero_blocks(self):
-        with pytest.raises(ParameterError):
-            optimal_threshold_empirical(ChannelParams.from_ratio(0.05), 0, seed=1)
+        assert emp_ber <= errors_gauss / x.size
 
 
 def beta_channel(ratio, mu_b=-0.15, sigma_b_over_mu1=0.04):
@@ -332,7 +346,7 @@ class TestCenteredBeta:
             an = ber_variable_offset_derivative(r, p)
             assert an == pytest.approx(fd, rel=1e-6, abs=2e-9)
             if sigma_b_over_mu1 == 0.0:
-                assert ber_derivative(r, p, p.offset_mu_b) == an
+                assert ber_variable_offset_derivative(r, fixed(p, p.offset_mu_b)) == an
 
     @pytest.mark.parametrize("ratio", [0.08, 0.12])
     def test_monte_carlo_agreement(self, ratio):
@@ -345,9 +359,9 @@ class TestCenteredBeta:
 
     def test_bisection_matches_empirical_search(self):
         p = beta_channel(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07)
-        emp = optimal_threshold_empirical(p, 30_000, seed=987)
+        emp_r, _ = empirical_threshold(p, 30_000, seed=987)
         bi = optimal_threshold_bisection(p)
-        assert abs(emp.r_th - bi.r_th) < 0.01
+        assert abs(emp_r - bi.r_th) < 0.01
         assert bi.ber == ber_variable_offset(bi.r_th, p)
 
     def test_disjoint_supports_are_error_free(self):

@@ -260,17 +260,37 @@ class TestCliTrain:
 
     # Each request needs more than the 128 TiB address space of a 64-bit
     # process, so its first allocation fails before any memory is touched.
-    @pytest.mark.parametrize("argv, doc", [
+    _BEYOND_MEMORY = [
         (["train"], {"n": 8, "train": {"kind": "mlp", "hidden": 10 ** 15, "epochs": 1,
                                        "train_blocks": 4, "validation_blocks": 4}}),
         (["gen"], {"gen": {"blocks": 10 ** 15}}),
         (["session", "--genie"], {"session": {"total_blocks": 10 ** 15}}),
-    ])
+    ]
+    # Each of these has a dimension or a byte count beyond numpy's signed
+    # index range, so it is refused before any allocation.
+    _BEYOND_INDEX_RANGE = [
+        (["gen"], {"gen": {"blocks": 10 ** 20}}),
+        (["gen"], {"gen": {"blocks": 2 ** 62}}),
+        (["gen"], {"n": 10 ** 30}),
+        (["train"], {"n": 8, "train": {"kind": "mlp", "hidden": 10 ** 20, "epochs": 1,
+                                       "train_blocks": 4, "validation_blocks": 4}}),
+        (["train"], {"n": 8, "train": {"kind": "rnn", "hidden": 10 ** 20, "epochs": 1,
+                                       "train_blocks": 4, "validation_blocks": 4}}),
+        (["dtd", "--genie"], {"dtd": {"blocks": 10 ** 20}}),
+        (["session", "--genie"], {"session": {"total_blocks": 10 ** 20}}),
+    ]
+
+    @pytest.mark.parametrize("argv, doc", _BEYOND_MEMORY + _BEYOND_INDEX_RANGE)
     def test_request_beyond_address_space_exits_2(self, tmp_path, capsys, argv, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if (argv, doc) in self._BEYOND_MEMORY:
+            assert "error: Unable to allocate" in err
+        else:
+            assert "is beyond numpy's index range" in err
 
     @pytest.mark.parametrize("command", ["gen", "eval"])
     @pytest.mark.parametrize("quantizer, message", [
@@ -561,6 +581,20 @@ class TestCliAnalytic:
     def test_invalid_params_exit_2(self, capsys):
         rc = main(["analytic", "--ratio", "-0.05"])
         assert rc == 2
+
+    # Finite values whose reference math underflows to a zero divisor or overflows.
+    @pytest.mark.parametrize("channel", [
+        {"ratio": 1e-300},
+        {"mu_b": 1e300},
+        {"mu0": 1e300, "mu1": 1.5e300},
+        {"ratio": 1e-200, "noise_model": "centered-beta"},
+    ])
+    def test_arithmetic_failure_exits_3(self, tmp_path, capsys, channel):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channel": channel}))
+        assert main(["analytic", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("flags, key", [(["--ratio", "nan"], "channel.ratio"),
                                             (["--mu-b", "inf"], "channel.mu_b")])
