@@ -48,7 +48,6 @@ from .harness import (
     estimate_ber_paired,
     run_sweep,
     simulate_recalibration_session,
-    training_curve,
 )
 from .nn import (
     MlpModel,

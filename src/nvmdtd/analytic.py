@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel, beta_alpha_for_sigma
-from .errors import NoRootError, UnsupportedModelError
+from .errors import NoRootError, UnsupportedModelError, float_range
 
 GH_NODES_DEFAULT = 64
 BISECTION_WIDTH = 1e-9
@@ -90,9 +90,10 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     elif s0 / s1 == 0.0:  # log(s0 / s1) is beyond float range, and so is the quadratic
         r = optimal_threshold_bisection(fixed).r_th
     else:
-        d0, d1 = s0 * s0, s1 * s1
-        disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
-        r = (mu1 * d0 - mu0 * d1 - s0 * s1 * math.sqrt(disc)) / (d0 - d1)
+        with float_range("optimal_threshold_closed_form", fixed):
+            d0, d1 = s0 * s0, s1 * s1
+            disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
+            r = (mu1 * d0 - mu0 * d1 - s0 * s1 * math.sqrt(disc)) / (d0 - d1)
         if not _is_local_min(r, fixed):
             r = optimal_threshold_bisection(fixed).r_th
     return ThresholdResult(r_th=r, ber=ber_variable_offset(r, fixed), method=Method.CLOSED_FORM)
@@ -197,7 +198,8 @@ def ber_variable_offset_derivative(
         u0 = (r_th - params.mu0) / params.sigma0
         f0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI / params.sigma0
         u1 = (r_th - params.mu1 - b) / params.sigma1
-        e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
+        with np.errstate(over="ignore"):  # u1 * u1 = inf far out, where exp(-inf) = 0 is exact
+            e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
     else:
         x0 = r_th - params.mu0 + BETA_MEAN
         am1, bm1, log_norm = beta_terms[0]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, require_indexable
+from .errors import FormatError, ParameterError, float_range, require_indexable
 
 # Raw Beta(alpha, 1.2*alpha) facts used by the skewed-noise mode: the draw
 # lives on [0, 1] with mean 1/2.2, and its variance never exceeds the
@@ -103,8 +103,9 @@ class ChannelParams:
             raise ParameterError(f"offset sigma must be >= 0, got {self.offset_sigma_b}")
         if self.noise_model is NoiseModel.CENTERED_BETA:
             # Fails fast when either state's sigma is outside the solvable range.
-            beta_alpha_for_sigma(self.sigma0)
-            beta_alpha_for_sigma(self.sigma1)
+            with float_range("beta_alpha_for_sigma", self):
+                beta_alpha_for_sigma(self.sigma0)
+                beta_alpha_for_sigma(self.sigma1)
 
     @classmethod
     def from_ratio(

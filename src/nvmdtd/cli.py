@@ -5,6 +5,8 @@ Every flag except ``--config``, ``--out`` and ``--paper-scale`` sets one
 config key (``_FLAG_KEYS``) before the config is resolved.  ``main`` runs
 every command: resolve, create ``--out``, run, then echo the resolved config
 to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
+This module decides which files a command writes, through :func:`write_csv`
+and :func:`write_json`; datasets and weight files have writers of their own.
 
 Exit codes: 0 success, 2 configuration or parameter problem, 3 numeric
 failure (training divergence, root bracketing, a finite channel value that
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -24,7 +27,6 @@ from . import analytic, harness
 from .channel import derive_seed, sample_block_matrix, save_dataset
 from .config import (
     channel_params,
-    echo_config,
     load_config,
     quantizer_spec,
     resolve_config,
@@ -39,12 +41,40 @@ from .errors import (
     NoRootError,
     NvmdtdError,
 )
+from .nn.training import train
 from .nn.weights_io import load_weights, save_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_ASSET = 4
+
+# The columns of each CSV file a command writes, and the SessionLog attributes in session.json.
+SWEEP_COLUMNS = ("ratio", "mu_b", "sigma_b_over_mu1", "noise_model", "detector",
+                 "r_th", "errors", "bits", "ber", "ci")
+CURVE_COLUMNS = ("epoch", "val_ber", "train_loss")
+SESSION_COLUMNS = ("segment", "start_block", "bits_pre", "errors_pre", "ber_pre",
+                   "bits_post", "errors_post", "ber_post", "triggers", "nn_blocks")
+SESSION_SUMMARY = ("final_threshold", "nn_blocks_total", "triggers_total", "thresholds")
+
+
+def write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
+    """Write a header of ``columns``, then per row each column's dict item or attribute."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] if isinstance(row, dict) else getattr(row, c) for c in columns]
+                         for row in rows)
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as JSON indented by two spaces, with a final newline."""
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def echo_config(cfg: dict, out: Path, command: str) -> None:
+    """Write the fully resolved config, with the command that ran it, into ``out``."""
+    write_json(out / "config-resolved.json", {"command": command} | cfg)
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -135,9 +165,9 @@ def _labeler(cfg: dict, section: str):
 
 def _sweep(cfg: dict, section: str, out: Path, channels: list[dict],
            where: str = "channel") -> list[dict]:
-    """Run ``cfg[section]``'s detectors at ``channels``, all built first; writes a CSV."""
-    # A point's CSV labels are its channel keys as the config gives them.
-    points = tuple(({k: ch[k] for k in harness.CSV_HEADER[:4]}, channel_params(ch, where))
+    """Run ``cfg[section]``'s detectors at ``channels``, all built first, into ``<section>.csv``."""
+    # A point's row labels are its channel keys as the config gives them.
+    points = tuple(({k: ch[k] for k in SWEEP_COLUMNS[:4]}, channel_params(ch, where))
                    for ch in channels)
     sec = cfg[section]
     spec = harness.SweepSpec(
@@ -150,7 +180,9 @@ def _sweep(cfg: dict, section: str, out: Path, channels: list[dict],
         quantizer=quantizer_spec(sec["quantizer"]),
     )
     assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
-    return harness.run_sweep(spec, assets=assets, csv_path=out / f"{section}.csv")
+    rows = harness.run_sweep(spec, assets=assets)
+    write_csv(out / f"{section}.csv", SWEEP_COLUMNS, rows)
+    return rows
 
 
 def cmd_gen(cfg: dict, out: Path) -> None:
@@ -165,10 +197,8 @@ def cmd_train(cfg: dict, out: Path) -> None:
     params = channel_params(cfg["channel"])
     kind = cfg["train"]["kind"]
     tc = train_config(cfg)
-    result = harness.training_curve(
-        kind, params, tc, csv_path=out / "curve.csv",
-        n=cfg["n"], hidden=cfg["train"]["hidden"],
-    )
+    result = train(kind, params, tc, n=cfg["n"], hidden=cfg["train"]["hidden"])
+    write_csv(out / "curve.csv", CURVE_COLUMNS, result.history)
     weight_path = out / f"weights-{kind}.nvmw"
     save_weights(result.model, weight_path, seed=cfg["seed"], n=cfg["n"])
     final = result.history[-1]
@@ -201,13 +231,8 @@ def cmd_dtd(cfg: dict, out: Path) -> None:
     result = harness.dtd_calibrate(
         detector, params, cfg["dtd"]["blocks"], derive_seed(cfg["seed"], 0), n=cfg["n"]
     )
-    doc = {
-        "r_adj": result.r_adj,
-        "objective": result.objective,
-        "interval": list(result.interval),
-        "reference_optimum": analytic.optimal_threshold_bisection(params).r_th,
-    }
-    (out / "dtd.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(out / "dtd.json", dataclasses.asdict(result) | {
+        "reference_optimum": analytic.optimal_threshold_bisection(params).r_th})
     print(f"adjusted threshold {result.r_adj:.6f} kOhm "
           f"(objective {result.objective}, interval {result.interval})")
 
@@ -237,20 +262,8 @@ def cmd_session(cfg: dict, out: Path) -> None:
         schedule, detector, seed=derive_seed(cfg["seed"], 0), m_blocks=se["m_blocks"],
         initial_threshold=se["initial_threshold"], n=cfg["n"],
     )
-    with open(out / "session.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "start_block", "bits_pre", "errors_pre", "ber_pre",
-                         "bits_post", "errors_post", "ber_post", "triggers", "nn_blocks"])
-        for seg in log.segments:
-            writer.writerow([seg.index, seg.start_block, seg.bits_pre, seg.errors_pre,
-                             seg.ber_pre, seg.bits_post, seg.errors_post, seg.ber_post,
-                             seg.triggers, seg.nn_blocks])
-    (out / "session.json").write_text(json.dumps({
-        "final_threshold": log.final_threshold,
-        "nn_blocks_total": log.nn_blocks_total,
-        "triggers_total": log.triggers_total,
-        "thresholds": log.thresholds,
-    }, indent=2) + "\n")
+    write_csv(out / "session.csv", SESSION_COLUMNS, log.segments)
+    write_json(out / "session.json", {k: getattr(log, k) for k in SESSION_SUMMARY})
     print(f"session done: {log.triggers_total} recalibrations, "
           f"{log.nn_blocks_total} network blocks, final threshold {log.final_threshold:.6f}")
 

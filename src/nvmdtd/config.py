@@ -211,11 +211,3 @@ def train_config(cfg: dict) -> TrainConfig:
         seed=cfg["seed"],
         learning_rate=t["learning_rate"],
     )
-
-
-def echo_config(cfg: dict, out_dir, command: str) -> Path:
-    """Write the fully resolved config into the existing directory ``out_dir``."""
-    doc = {"command": command} | cfg
-    path = Path(out_dir) / "config-resolved.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    return path

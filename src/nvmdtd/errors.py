@@ -2,9 +2,11 @@
 
 The CLI maps these onto its exit-code contract, so new failure modes
 should reuse one of the classes below rather than raising bare builtins;
-``require_indexable`` does so for array sizes numpy cannot index.
+``require_indexable`` does so for array sizes numpy cannot index, and
+``float_range`` for float arithmetic that a channel's values put out of range.
 """
 
+import contextlib
 import math
 import sys
 
@@ -33,6 +35,10 @@ class FormatError(NvmdtdError):
     """A weight or dataset file is malformed, truncated, or version-mismatched."""
 
 
+class FloatRangeError(NvmdtdError, ArithmeticError):
+    """A finite channel value overflows or underflows the float arithmetic of a computation."""
+
+
 class ConfigError(NvmdtdError):
     """A run configuration failed validation."""
 
@@ -51,3 +57,17 @@ def require_indexable(shape: tuple[int, ...]) -> None:
     """
     if max(shape) > sys.maxsize or math.prod(shape) * 8 > sys.maxsize:
         raise ParameterError(f"an array of shape {shape} is beyond numpy's index range")
+
+
+@contextlib.contextmanager
+def float_range(computation: str, params):
+    """Re-raise an overflow or zero division as a FloatRangeError naming computation and channel."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        what = "overflows" if isinstance(exc, OverflowError) else "divides by 0 after an underflow"
+        raise FloatRangeError(
+            f"{computation} {what} on the channel mu0={params.mu0:g}, mu1={params.mu1:g}, "
+            f"sigma0={params.sigma0:g}, sigma1={params.sigma1:g}, "
+            f"mu_b={params.offset_mu_b:g}, sigma_b={params.offset_sigma_b:g}"
+        ) from exc

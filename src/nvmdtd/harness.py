@@ -9,10 +9,9 @@ every simulated detector of that point, and the point's DTD rows share one sampl
 blocks, so the rows of a point are a paired comparison on the same
 blocks.  A recalibration session samples
 its whole schedule once, one matrix per segment, and labels each
-recalibration window with one call of the network.  CSV outputs echo
-every parameter per row and follow the fixed schema::
-
-    ratio,mu_b,sigma_b_over_mu1,noise_model,detector,r_th,errors,bits,ber,ci
+recalibration window with one call of the network.  A sweep row is a
+dict: its point's labels, then ``detector``, ``r_th``, ``errors``,
+``bits``, ``ber`` and ``ci``.  The module returns records and writes no file.
 
 The reference thresholds come from :func:`analytic.reference_thresholds`:
 ``opt-full`` is the exact optimum under the channel's own variation law,
@@ -25,7 +24,6 @@ sweep going.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -36,10 +34,6 @@ from . import analytic
 from .channel import ChannelParams, QuantizerSpec, derive_seed, sample_block_matrix
 from .detectors import DtdResult, GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from .errors import MissingAssetError, ParameterError
-from .nn.training import TrainConfig, TrainResult, train
-
-CSV_HEADER = ["ratio", "mu_b", "sigma_b_over_mu1", "noise_model", "detector",
-              "r_th", "errors", "bits", "ber", "ci"]
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def dtd_calibrate(detector, params: ChannelParams, m_blocks: int, seed: int,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Operating points, each ``(CSV labels, channel built from them)``, times detectors."""
+    """Operating points, each ``(row labels, channel built from them)``, times detectors."""
 
     points: tuple[tuple[dict, ChannelParams], ...]
     detectors: tuple[str, ...]
@@ -118,11 +112,11 @@ class SweepSpec:
             raise ParameterError("block counts must be >= 1")
 
 
-def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> list[dict]:
-    """One row per (operating point, detector) of ``spec``; optionally written as CSV.
+def run_sweep(spec: SweepSpec, assets: dict | None = None) -> list[dict]:
+    """One row per (operating point, detector) of ``spec``.
 
     Point ``i`` runs on ``derive_seed(spec.seed, i)``: its channel as given, its labels
-    (the first four CSV columns) at the head of its rows.
+    at the head of its rows.
     ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
     Missing assets produce NaN rows instead of aborting the sweep.  The
     simulated rows of a point are scored in one pass over the same blocks.
@@ -152,8 +146,6 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None, csv_path=None) -> lis
             for (row, _), est in zip(simulated, estimates):
                 row.update(errors=est.errors, bits=est.bits, ber=est.ber,
                            ci=est.ci_half_width)
-    if csv_path is not None:
-        write_sweep_csv(csv_path, rows)
     return rows
 
 
@@ -194,27 +186,6 @@ def _require_asset(assets: dict, kind: str):
     if kind not in assets or assets[kind] is None:
         raise MissingAssetError(f"no trained {kind} weights available")
     return assets[kind]
-
-
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def training_curve(kind: str, params: ChannelParams, config: TrainConfig,
-                   csv_path=None, n: int = 71, hidden: int | None = None) -> TrainResult:
-    """Train a detector and optionally persist its per-epoch validation BER and mean training loss."""
-    result = train(kind, params, config, n=n, hidden=hidden)
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "val_ber", "train_loss"])
-            for rec in result.history:
-                writer.writerow([rec.epoch, rec.val_ber, rec.train_loss])
-    return result
 
 
 @dataclass(frozen=True)
@@ -267,7 +238,7 @@ class SegmentStats:
     themselves (the ones the network reads) are excluded from both.
     """
 
-    index: int
+    segment: int
     start_block: int
     errors_pre: int = 0
     bits_pre: int = 0
@@ -339,7 +310,7 @@ def simulate_recalibration_session(
         if initial_threshold is None
         else initial_threshold
     )
-    stats = [SegmentStats(index=i, start_block=s) for i, s in enumerate(bounds[:-1])]
+    stats = [SegmentStats(segment=i, start_block=s) for i, s in enumerate(bounds[:-1])]
     log = SessionLog(segments=stats, thresholds=[(0, r_th)])
     recalibrated_in = [False] * len(stats)
     since_recal = 0

@@ -224,6 +224,31 @@ _RERUN_CASES = [
 ]
 
 
+# Each command that takes --out, a config that keeps it small, and the files it writes.
+_RUN_FILES = [
+    ("gen", {"n": 9, "gen": {"blocks": 5}}, {"dataset.txt"}),
+    ("train", {"n": 8, "train": {"kind": "rnn", "epochs": 1, "train_blocks": 4,
+                                 "validation_blocks": 4, "hidden": 4}},
+     {"weights-rnn.nvmw", "curve.csv"}),
+    ("eval", {"n": 8, "eval": {"blocks": 20, "detectors": ["midpoint"]}}, {"eval.csv"}),
+    ("dtd", {"n": 8, "dtd": {"blocks": 20, "genie": True}}, {"dtd.json"}),
+    ("sweep", {"n": 8, "sweep": {"ratios": [0.1], "blocks": 20, "detectors": ["midpoint"]}},
+     {"sweep.csv"}),
+    ("session", {"n": 8, "session": {"genie": True, "total_blocks": 60, "m_blocks": 10,
+                                     "trigger": {"kind": "periodic", "period": 20}}},
+     {"session.csv", "session.json"}),
+]
+
+
+@pytest.mark.parametrize("command, doc, files", _RUN_FILES, ids=[c[0] for c in _RUN_FILES])
+def test_command_writes_exactly_its_files(tmp_path, command, doc, files):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files | {"config-resolved.json"}
+
+
 class TestCliTrain:
     def test_writes_outputs(self, tmp_path, tiny_train_config):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,11 @@ from nvmdtd.analytic import (
     optimal_threshold_closed_form,
 )
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed, sample_block_matrix
+from nvmdtd.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 from nvmdtd.config import DEFAULT_CONFIG, channel_params
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.errors import ParameterError
 from nvmdtd.harness import (
-    CSV_HEADER,
     BerEstimate,
     DriftSchedule,
     SegmentStats,
@@ -28,10 +29,9 @@ from nvmdtd.harness import (
     estimate_ber_paired,
     run_sweep,
     simulate_recalibration_session,
-    training_curve,
 )
 from nvmdtd.nn.models import create_model
-from nvmdtd.nn.training import TrainConfig
+from nvmdtd.nn.training import TrainConfig, train
 
 
 def _points(ratios, mu_b_values=(0.0,), sigma_b_over_mu1=0.0, noise_model="gaussian"):
@@ -39,7 +39,7 @@ def _points(ratios, mu_b_values=(0.0,), sigma_b_over_mu1=0.0, noise_model="gauss
     fixed = {"sigma_b_over_mu1": sigma_b_over_mu1, "noise_model": noise_model}
     channels = [DEFAULT_CONFIG["channel"] | fixed | {"ratio": ratio, "mu_b": mu_b}
                 for ratio in ratios for mu_b in mu_b_values]
-    return tuple(({k: ch[k] for k in CSV_HEADER[:4]}, channel_params(ch)) for ch in channels)
+    return tuple(({k: ch[k] for k in SWEEP_COLUMNS[:4]}, channel_params(ch)) for ch in channels)
 
 
 class TestBerEstimate:
@@ -99,20 +99,25 @@ class TestDtdCalibrate:
 
 class TestRunSweep:
     def test_row_grid_shape_and_schema(self, tmp_path):
+        sweep = {"ratios": [0.08, 0.12], "mu_b_values": [0.0, -0.2], "blocks": 500,
+                 "detectors": ["midpoint", "opt-full", "optimum-bound"]}
         spec = SweepSpec(
-            points=_points((0.08, 0.12), (0.0, -0.2)),
-            detectors=("midpoint", "opt-full", "optimum-bound"),
-            blocks_per_point=500,
+            points=_points(sweep["ratios"], sweep["mu_b_values"]),
+            detectors=tuple(sweep["detectors"]),
+            blocks_per_point=sweep["blocks"],
             seed=3,
         )
-        path = tmp_path / "sweep.csv"
-        rows = run_sweep(spec, csv_path=path)
+        rows = run_sweep(spec)
         assert len(rows) == 2 * 2 * 3
-        with open(path) as fh:
+        assert all(tuple(row) == SWEEP_COLUMNS for row in rows)
+        # The CLI writes the same rows under the header, one line each.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 3, "sweep": sweep}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            assert header == CSV_HEADER
-            assert len(list(reader)) == len(rows)
+            assert tuple(next(reader)) == SWEEP_COLUMNS
+            assert list(reader) == [[str(row[c]) for c in SWEEP_COLUMNS] for row in rows]
 
     def test_mc_tracks_analytic_bound(self):
         spec = SweepSpec(
@@ -289,11 +294,15 @@ class TestTrainingCurve:
         params = ChannelParams.from_ratio(0.05)
         cfg = TrainConfig(epochs=2, minibatch_blocks=2, train_blocks=40,
                           validation_blocks=30, seed=5)
-        path = tmp_path / "curve.csv"
-        result = training_curve("rnn", params, cfg, csv_path=path, n=12)
-        with open(path) as fh:
+        result = train("rnn", params, cfg, n=12)
+        doc = tmp_path / "c.json"
+        doc.write_text(json.dumps({"seed": 5, "n": 12, "channel": {"ratio": 0.05}, "train": {
+            "kind": "rnn", "epochs": 2, "minibatch_blocks": 2, "train_blocks": 40,
+            "validation_blocks": 30}}))
+        assert main(["train", "--config", str(doc), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "curve.csv") as fh:
             reader = csv.reader(fh)
-            assert next(reader) == ["epoch", "val_ber", "train_loss"]
+            assert tuple(next(reader)) == CURVE_COLUMNS == ("epoch", "val_ber", "train_loss")
             rows = list(reader)
         assert len(rows) == 2
         assert [int(r[0]) for r in rows] == [1, 2]
@@ -304,9 +313,19 @@ class TestTrainingCurve:
         params = ChannelParams.from_ratio(0.05)
         cfg = TrainConfig(epochs=2, minibatch_blocks=2, train_blocks=40,
                           validation_blocks=30, seed=5)
-        a = training_curve("rnn", params, cfg, n=12)
-        b = training_curve("rnn", params, cfg, n=12)
+        a = train("rnn", params, cfg, n=12)
+        b = train("rnn", params, cfg, n=12)
         assert a.history == b.history
+
+
+def test_sweep_and_training_write_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_sweep(SweepSpec(points=_points((0.1,)), detectors=("midpoint", "opt-full"),
+                        blocks_per_point=50, seed=1))
+    train("rnn", ChannelParams.from_ratio(0.05),
+          TrainConfig(epochs=1, minibatch_blocks=2, train_blocks=4, validation_blocks=4, seed=1),
+          n=8, hidden=4)
+    assert list(tmp_path.iterdir()) == []
 
 
 def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=None, n=71):
@@ -328,7 +347,7 @@ def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=
         if initial_threshold is None
         else initial_threshold
     )
-    stats = [SegmentStats(index=i, start_block=s) for i, (s, _) in enumerate(schedule.segments)]
+    stats = [SegmentStats(segment=i, start_block=s) for i, (s, _) in enumerate(schedule.segments)]
     log = SessionLog(segments=stats, thresholds=[(0, r_th)])
     recalibrated_in = [False] * len(stats)
     since_recal = 0
