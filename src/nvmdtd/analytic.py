@@ -64,13 +64,6 @@ def q_function(t):
     return 0.5 * erfc(np.asarray(t, dtype=np.float64) / _SQRT2)
 
 
-def _require_gaussian(params: ChannelParams) -> None:
-    if params.noise_model is not NoiseModel.GAUSSIAN:
-        raise UnsupportedModelError(
-            f"analytic formulas require Gaussian variation, got {params.noise_model.value}"
-        )
-
-
 def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> ThresholdResult:
     """BER-minimizing threshold for Gaussian variation and a fixed offset ``b``.
 
@@ -81,7 +74,9 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     bisecting the derivative of the same objective, as does a sigma ratio
     that underflows to 0.
     """
-    _require_gaussian(params)
+    if params.noise_model is not NoiseModel.GAUSSIAN:
+        raise UnsupportedModelError(
+            f"analytic formulas require Gaussian variation, got {params.noise_model.value}")
     fixed = replace(params, offset_mu_b=b, offset_sigma_b=0.0)
     mu0, mu1 = params.mu0, params.mu1 + b
     s0, s1 = params.sigma0, params.sigma1
@@ -119,29 +114,20 @@ def _gh_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _gh_offsets(params: ChannelParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offset nodes and weights; a fixed offset is the one node ``(mu_b, 1.0)``."""
-    if params.offset_sigma_b == 0.0:
-        return np.array([params.offset_mu_b]), np.ones(1)
-    t, w = _gh_rule(nodes)
-    return params.offset_mu_b + _SQRT2 * params.offset_sigma_b * t, w
-
-
-def _beta_draw(excess):
-    """The raw Beta draw, clipped to [0, 1], that puts a read ``excess`` above its nominal value."""
-    return np.clip(excess + BETA_MEAN, 0.0, 1.0)
-
-
 @functools.lru_cache(maxsize=32)
-def _derivative_terms(params: ChannelParams, nodes: int):
-    """Per-point constants of :func:`ber_variable_offset_derivative`, built once per point.
+def _point_terms(params: ChannelParams, nodes: int):
+    """Per-point constants of the BER and its derivative, built once per point.
 
     A bisection evaluates the derivative about 32 times at one point.  The
-    terms are the offset nodes and weights (shared, so read-only) and, under
-    centered-Beta variation, each state's ``(a - 1, b - 1, betaln(a, b))``
-    for its Beta(a, b) draw; ``None`` for Gaussian variation.
+    terms are the offset nodes and weights (shared, so read-only; a fixed
+    offset is the one node ``(mu_b, 1.0)``) and, under centered-Beta
+    variation, each state's ``(a, b, betaln(a, b))``; ``None`` for Gaussian.
     """
-    b, w = _gh_offsets(params, nodes)
+    if params.offset_sigma_b == 0.0:
+        b, w = np.array([params.offset_mu_b]), np.ones(1)
+    else:
+        t, w = _gh_rule(nodes)
+        b = params.offset_mu_b + _SQRT2 * params.offset_sigma_b * t
     b.flags.writeable = w.flags.writeable = False
     if params.noise_model is NoiseModel.GAUSSIAN:
         return b, w, None
@@ -150,15 +136,15 @@ def _derivative_terms(params: ChannelParams, nodes: int):
     terms = []
     for sigma in (params.sigma0, params.sigma1):
         a = beta_alpha_for_sigma(sigma)
-        terms.append((a - 1.0, BETA_SHAPE_RATIO * a - 1.0, float(betaln(a, BETA_SHAPE_RATIO * a))))
+        terms.append((a, BETA_SHAPE_RATIO * a, float(betaln(a, BETA_SHAPE_RATIO * a))))
     return b, w, terms
 
 
-def _beta_pdf(x, am1: float, bm1: float, log_norm: float) -> np.ndarray:
-    """Beta(a, b) density from its terms ``(a - 1, b - 1, betaln(a, b))``, 0 outside (0, 1)."""
+def _beta_pdf(x, a: float, b: float, log_norm: float) -> np.ndarray:
+    """Beta(a, b) density from its terms ``(a, b, betaln(a, b))``, 0 outside (0, 1)."""
     inside = (x > 0.0) & (x < 1.0)
     xi = np.where(inside, x, 0.5)
-    log_pdf = am1 * np.log(xi) + bm1 * np.log1p(-xi) - log_norm
+    log_pdf = (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - log_norm
     return np.where(inside, np.exp(log_pdf), 0.0)
 
 
@@ -172,16 +158,17 @@ def ber_variable_offset(
     evaluated in the complement form (Q(u0) + Q(-u1)) / 2, which keeps full
     relative precision when both tails are tiny.
     """
-    b, w = _gh_offsets(params, nodes)
-    if params.noise_model is NoiseModel.GAUSSIAN:
+    b, w, beta_terms = _point_terms(params, nodes)
+    if beta_terms is None:
         p0 = q_function((r_th - params.mu0) / params.sigma0)
         p1 = q_function(-(r_th - params.mu1 - b) / params.sigma1)
     else:
         from scipy.special import betainc
 
-        a0, a1 = beta_alpha_for_sigma(params.sigma0), beta_alpha_for_sigma(params.sigma1)
-        p0 = betainc(BETA_SHAPE_RATIO * a0, a0, 1.0 - _beta_draw(r_th - params.mu0))
-        p1 = betainc(a1, BETA_SHAPE_RATIO * a1, _beta_draw(r_th - params.mu1 - b))
+        # Each state's raw Beta draw, clipped to [0, 1], that puts its read at r_th.
+        (a0, b0, _), (a1, b1, _) = beta_terms
+        p0 = betainc(b0, a0, 1.0 - np.clip(r_th - params.mu0 + BETA_MEAN, 0.0, 1.0))
+        p1 = betainc(a1, b1, np.clip(r_th - params.mu1 - b + BETA_MEAN, 0.0, 1.0))
     return float(0.5 * (p0 + float(np.dot(w, p1))))
 
 
@@ -193,7 +180,7 @@ def ber_variable_offset_derivative(
     A Beta density vanishes wherever the draw would be clipped, so the
     draws enter it unclipped.
     """
-    b, w, beta_terms = _derivative_terms(params, nodes)
+    b, w, beta_terms = _point_terms(params, nodes)
     if beta_terms is None:
         u0 = (r_th - params.mu0) / params.sigma0
         f0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI / params.sigma0
@@ -202,10 +189,10 @@ def ber_variable_offset_derivative(
             e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
     else:
         x0 = r_th - params.mu0 + BETA_MEAN
-        am1, bm1, log_norm = beta_terms[0]
+        a0, b0, log_norm = beta_terms[0]
         f0 = 0.0
         if 0.0 < x0 < 1.0:
-            f0 = float(np.exp(am1 * np.log(x0) + bm1 * np.log1p(-x0) - log_norm))
+            f0 = float(np.exp((a0 - 1.0) * np.log(x0) + (b0 - 1.0) * np.log1p(-x0) - log_norm))
         e_f1 = float(np.dot(w, _beta_pdf(r_th - params.mu1 - b + BETA_MEAN, *beta_terms[1])))
     return 0.5 * (e_f1 - f0)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, float_range, require_indexable
+from .errors import FormatError, ParameterError, channel_text, float_range, require_indexable
 
 # Raw Beta(alpha, 1.2*alpha) facts used by the skewed-noise mode: the draw
 # lives on [0, 1] with mean 1/2.2, and its variance never exceeds the
@@ -33,6 +33,10 @@ from .errors import FormatError, ParameterError, float_range, require_indexable
 BETA_SHAPE_RATIO = 1.2
 BETA_MEAN = 1.0 / 2.2
 BETA_VARIANCE_SUP = 1.2 / 4.84
+# The largest Beta shape a channel may take (sigma ~ 3.36e-5): up to it the
+# package's Beta log-density stays within 1e-6 of scipy.stats.beta.pdf; beyond
+# it, its terms (a-1) log x + (b-1) log1p(-x) - betaln(a, b) cancel the precision away.
+BETA_MAX_SHAPE = 1e8
 
 DATASET_MAGIC = "nvmdtd-v1"
 
@@ -63,17 +67,16 @@ def beta_alpha_for_sigma(sigma: float) -> float:
 
         alpha = ((1.2/4.84) / sigma^2 - 1) / 2.2
 
-    which is positive only for sigma^2 < 1.2/4.84.
+    which is positive only for sigma^2 < 1.2/4.84, and accepted up to ``BETA_MAX_SHAPE``.
     """
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    var = sigma * sigma
-    if var >= BETA_VARIANCE_SUP:
+    alpha = (BETA_VARIANCE_SUP / (sigma * sigma) - 1.0) / 2.2
+    if not 0.0 < alpha <= BETA_MAX_SHAPE:
         raise ParameterError(
-            f"sigma^2 = {var:.6g} is not reachable by a Beta(alpha, 1.2*alpha) law; "
-            f"it must be below {BETA_VARIANCE_SUP:.6g}"
-        )
-    return (BETA_VARIANCE_SUP / var - 1.0) / 2.2
+            f"sigma = {sigma:.6g} needs the Beta shape alpha = {alpha:.6g}, which must be above 0 "
+            f"(sigma^2 below {BETA_VARIANCE_SUP:.6g}) and at most {BETA_MAX_SHAPE:g}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,13 @@ class ChannelParams:
         if self.offset_sigma_b < 0:
             raise ParameterError(f"offset sigma must be >= 0, got {self.offset_sigma_b}")
         if self.noise_model is NoiseModel.CENTERED_BETA:
-            # Fails fast when either state's sigma is outside the solvable range.
-            with float_range("beta_alpha_for_sigma", self):
-                beta_alpha_for_sigma(self.sigma0)
-                beta_alpha_for_sigma(self.sigma1)
+            # Fails fast when either state's sigma is outside the accepted range.
+            try:
+                with float_range("beta_alpha_for_sigma", self):
+                    beta_alpha_for_sigma(self.sigma0)
+                    beta_alpha_for_sigma(self.sigma1)
+            except ParameterError as exc:
+                raise ParameterError(f"{exc}, on {channel_text(self)}") from None
 
     @classmethod
     def from_ratio(

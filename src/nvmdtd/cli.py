@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,8 +69,8 @@ def write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
 
 
 def write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as JSON indented by two spaces, with a final newline."""
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as strict JSON (no NaN or Infinity), indented by two, with a final newline."""
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def echo_config(cfg: dict, out: Path, command: str) -> None:
@@ -163,11 +164,10 @@ def _labeler(cfg: dict, section: str):
     return NnDetector(model)
 
 
-def _sweep(cfg: dict, section: str, out: Path, channels: list[dict],
-           where: str = "channel") -> list[dict]:
+def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dict]:
     """Run ``cfg[section]``'s detectors at ``channels``, all built first, into ``<section>.csv``."""
     # A point's row labels are its channel keys as the config gives them.
-    points = tuple(({k: ch[k] for k in SWEEP_COLUMNS[:4]}, channel_params(ch, where))
+    points = tuple(({k: ch[k] for k in SWEEP_COLUMNS[:4]}, channel_params(ch))
                    for ch in channels)
     sec = cfg[section]
     spec = harness.SweepSpec(
@@ -231,7 +231,9 @@ def cmd_dtd(cfg: dict, out: Path) -> None:
     result = harness.dtd_calibrate(
         detector, params, cfg["dtd"]["blocks"], derive_seed(cfg["seed"], 0), n=cfg["n"]
     )
+    # An unbounded side of the tie interval is written as null.
     write_json(out / "dtd.json", dataclasses.asdict(result) | {
+        "interval": [v if math.isfinite(v) else None for v in result.interval],
         "reference_optimum": analytic.optimal_threshold_bisection(params).r_th})
     print(f"adjusted threshold {result.r_adj:.6f} kOhm "
           f"(objective {result.objective}, interval {result.interval})")
@@ -243,16 +245,13 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
     fixed = {k: sw[k] for k in ("sigma_b_over_mu1", "noise_model")}
     channels = [cfg["channel"] | fixed | {"ratio": ratio, "mu_b": mu_b}
                 for ratio in sw["ratios"] for mu_b in sw["mu_b_values"]]
-    rows = _sweep(cfg, "sweep", out, channels, where="sweep")
+    rows = _sweep(cfg, "sweep", out, channels)
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
 
 
 def cmd_session(cfg: dict, out: Path) -> None:
     se = cfg["session"]
-    segments = tuple(
-        (seg["start_block"], channel_params(seg["channel"], f"session.segments[{i}].channel"))
-        for i, seg in enumerate(se["segments"])
-    )
+    segments = tuple((seg["start_block"], channel_params(seg["channel"])) for seg in se["segments"])
     schedule = harness.DriftSchedule(
         segments=segments, total_blocks=se["total_blocks"],
         trigger=harness.TriggerPolicy(**se["trigger"]),

@@ -1,10 +1,11 @@
 """Run configuration: one JSON document, strict keys, full defaulting.
 
-Unknown keys, mistyped values and non-finite numbers are rejected with
-their JSON path so typos fail fast.  The CLI folds its flags into the user
-document before resolving it, and echoes the fully resolved document
-(defaults and scale-dependent budgets applied) next to every command's
-outputs; rerunning from that echo alone reproduces the run.
+Unknown keys, mistyped values, enumerated values outside their choices and
+non-finite numbers are rejected with their JSON path so typos fail fast.
+The CLI folds its flags into the user document before resolving it, and
+echoes the fully resolved document (defaults and scale-dependent budgets
+applied) next to every command's outputs; rerunning from that echo alone
+reproduces the run.
 """
 
 from __future__ import annotations
@@ -103,10 +104,16 @@ _NULLABLE_TYPES = {
 _POSITIVE_INTS = {"n", "hidden"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
                list: "a list", dict: "an object"}
+# The values an enumerated key may take, by the last two parts of its path, so that
+# `session.segments[i].channel.noise_model` is a `channel.noise_model`.
+_NOISE_MODELS = [m.value for m in NoiseModel]
+_CHOICES = {"channel.noise_model": _NOISE_MODELS, "sweep.noise_model": _NOISE_MODELS,
+            "train.kind": sorted(MINIBATCH_BLOCKS)}
 
 
 def _check_type(here: str, base, value) -> None:
-    """Reject a value whose JSON type differs from the default's; an int passes for a float."""
+    """Reject a value whose JSON type differs from the default's (an int passes for a
+    float), and an enumerated key's value outside its choices."""
     key = here.rsplit(".", 1)[-1]
     expected = _NULLABLE_TYPES.get(key) if base is None else type(base)
     if expected is None or (base is None and value is None):
@@ -123,10 +130,13 @@ def _check_type(here: str, base, value) -> None:
     if expected is list and base:
         for i, item in enumerate(value):
             _check_type(f"{here}[{i}]", base[0], item)
+    choices = _CHOICES.get(".".join(here.split(".")[-2:]))
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{here} must be one of {choices}, got {value!r}")
 
 
 def _merge(defaults, user, path: str):
-    """Overlay user values on defaults, rejecting unknown keys and mistyped values.
+    """Overlay user values on defaults, rejecting unknown keys and mistyped or unlisted values.
 
     The result keeps the defaults' key order, and each default the user
     leaves alone is copied once.
@@ -158,8 +168,6 @@ def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:
     cfg = _merge(DEFAULT_CONFIG, user or {}, "")
 
     kind = cfg["train"]["kind"]
-    if kind not in MINIBATCH_BLOCKS:
-        raise ConfigError(f"train.kind must be one of {sorted(MINIBATCH_BLOCKS)}, got {kind!r}")
     budgets = PAPER_TRAIN_BLOCKS if paper_scale else DESK_TRAIN_BLOCKS
     if cfg["train"]["minibatch_blocks"] is None:
         cfg["train"]["minibatch_blocks"] = MINIBATCH_BLOCKS[kind]
@@ -173,24 +181,13 @@ def resolve_config(user: dict | None, paper_scale: bool = False) -> dict:
     return cfg
 
 
-def noise_model(value: str, where: str = "channel") -> NoiseModel:
-    """The noise model named by a config's ``<where>.noise_model`` string."""
-    try:
-        return NoiseModel(value)
-    except ValueError:
-        raise ConfigError(
-            f"{where}.noise_model must be one of "
-            f"{[m.value for m in NoiseModel]}, got {value!r}"
-        )
-
-
-def channel_params(section: dict, where: str = "channel") -> ChannelParams:
-    """The channel of a resolved channel section; errors name ``<where>.noise_model``."""
+def channel_params(section: dict) -> ChannelParams:
+    """The channel of a resolved channel section."""
     return ChannelParams.from_ratio(
         ratio=section["ratio"],
         mu_b=section["mu_b"],
         sigma_b_over_mu1=section["sigma_b_over_mu1"],
-        noise_model=noise_model(section["noise_model"], where),
+        noise_model=NoiseModel(section["noise_model"]),
         mu0=section["mu0"],
         mu1=section["mu1"],
     )

@@ -59,6 +59,13 @@ def require_indexable(shape: tuple[int, ...]) -> None:
         raise ParameterError(f"an array of shape {shape} is beyond numpy's index range")
 
 
+def channel_text(params) -> str:
+    """The channel ``params`` as error messages name it."""
+    return (f"the channel mu0={params.mu0:g}, mu1={params.mu1:g}, "
+            f"sigma0={params.sigma0:g}, sigma1={params.sigma1:g}, "
+            f"mu_b={params.offset_mu_b:g}, sigma_b={params.offset_sigma_b:g}")
+
+
 @contextlib.contextmanager
 def float_range(computation: str, params):
     """Re-raise an overflow or zero division as a FloatRangeError naming computation and channel."""
@@ -66,8 +73,4 @@ def float_range(computation: str, params):
         yield
     except (OverflowError, ZeroDivisionError) as exc:
         what = "overflows" if isinstance(exc, OverflowError) else "divides by 0 after an underflow"
-        raise FloatRangeError(
-            f"{computation} {what} on the channel mu0={params.mu0:g}, mu1={params.mu1:g}, "
-            f"sigma0={params.sigma0:g}, sigma1={params.sigma1:g}, "
-            f"mu_b={params.offset_mu_b:g}, sigma_b={params.offset_sigma_b:g}"
-        ) from exc
+        raise FloatRangeError(f"{computation} {what} on {channel_text(params)}") from exc

@@ -16,8 +16,8 @@ from nvmdtd.analytic import (
     q_function,
     reference_thresholds,
 )
-from nvmdtd.channel import (BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel,
-                            beta_alpha_for_sigma, sample_block_matrix)
+from nvmdtd.channel import (BETA_MAX_SHAPE, BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams,
+                            NoiseModel, beta_alpha_for_sigma, sample_block_matrix)
 from nvmdtd.detectors import ThresholdDetector, threshold_detect
 from nvmdtd.harness import estimate_ber
 from nvmdtd.errors import UnsupportedModelError
@@ -163,7 +163,7 @@ class TestDerivativePinned:
             for r in (rng.uniform(0.3, 2.8), rng.uniform(1.0, 2.0)):
                 got = ber_variable_offset_derivative(r, p, nodes)
                 assert got == _reference_derivative(r, p, nodes), (i, r, p, nodes)
-        assert analytic._derivative_terms.cache_info().maxsize is not None  # bounded
+        assert analytic._point_terms.cache_info().maxsize is not None  # bounded
 
 
 class TestClosedForm:
@@ -293,14 +293,14 @@ class TestBisection:
             w[0] = 0.0
         cached = optimal_threshold_bisection(offset_channel)
 
-        def fresh_offsets(params, nodes):
+        def fresh_rule(nodes):
             t, w = np.polynomial.hermite.hermgauss(nodes)
-            return params.offset_mu_b + math.sqrt(2.0) * params.offset_sigma_b * t, w / math.sqrt(math.pi)
+            return t, w / math.sqrt(math.pi)
 
-        monkeypatch.setattr(analytic, "_gh_offsets", fresh_offsets)
-        analytic._derivative_terms.cache_clear()  # so the bisection also sees fresh offsets
+        monkeypatch.setattr(analytic, "_gh_rule", fresh_rule)
+        analytic._point_terms.cache_clear()  # so the bisection also sees fresh offsets
         fresh = optimal_threshold_bisection(offset_channel)
-        analytic._derivative_terms.cache_clear()
+        analytic._point_terms.cache_clear()
         assert (cached.r_th, cached.ber) == (fresh.r_th, fresh.ber)
 
 
@@ -327,6 +327,19 @@ class TestEmpirical:
         x, y = sample_block_matrix(p, 71, nblocks, seed=seed)
         errors_gauss = int(np.count_nonzero(threshold_detect(y, curve2.r_th) != x))
         assert emp_ber <= errors_gauss / x.size
+
+
+def test_beta_density_is_within_1e_6_of_scipy_up_to_the_largest_shape():
+    """The limit BETA_MAX_SHAPE holds the package's Beta log-density close to scipy's."""
+    from scipy.special import betaln
+    from scipy.stats import beta as scipy_beta
+
+    for a in np.geomspace(1e2, BETA_MAX_SHAPE, 25):
+        b = BETA_SHAPE_RATIO * a
+        mean, sd = a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        x = mean + sd * np.linspace(-5.0, 5.0, 201)
+        got = analytic._beta_pdf(x, a, b, float(betaln(a, b)))
+        assert np.max(np.abs(got / scipy_beta.pdf(x, a, b) - 1.0)) < 1e-6, a
 
 
 def beta_channel(ratio, mu_b=-0.15, sigma_b_over_mu1=0.04):

@@ -70,9 +70,8 @@ class TestResolveConfig:
         assert p.noise_model is NoiseModel.GAUSSIAN
 
     def test_bad_noise_model(self):
-        cfg = resolve_config({"channel": {"noise_model": "cauchy"}})
         with pytest.raises(ConfigError, match="noise_model"):
-            channel_params(cfg["channel"])
+            resolve_config({"channel": {"noise_model": "cauchy"}})
 
     def test_quantizer_section(self):
         assert quantizer_spec(None) is None
@@ -493,14 +492,17 @@ class TestCliTrain:
         ("session", {"session": {"segments": [{"start_block": 0,
                                                "channel": {"noise_model": "cauchy"}}]}},
          "session.segments[0].channel.noise_model"),
+        ("train", {"train": {"kind": "cnn"}}, "train.kind"),
     ])
     def test_unknown_noise_model_exits_2(self, tmp_path, capsys, command, doc, key):
+        """A refused enumerated value exits 2 while the config is resolved, before --out exists."""
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         genie = ["--genie"] if command == "session" else []
         rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")] + genie)
         assert rc == 2
         assert f"{key} must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliParserReuse:
@@ -621,6 +623,23 @@ class TestCliAnalytic:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    # Centered-Beta channels whose Beta shape exceeds BETA_MAX_SHAPE (sigma below about
+    # 3.36e-5): NaN BERs from 1e-155 down, overflow warnings from 1e-30, lost precision from 1e-8.
+    @pytest.mark.parametrize("ratio", [1e-160, 1e-155, 1e-140, 1e-30, 1e-8, 1e-7, 1e-6, 3.3e-5])
+    def test_beta_shape_beyond_the_largest_exits_2(self, tmp_path, capsys, ratio):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channel": {"ratio": ratio, "noise_model": "centered-beta"}}))
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at most 1e+08" in err and f"sigma0={ratio:g}," in err, err
+
+    def test_beta_shape_just_inside_the_largest_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channel": {"ratio": 3.4e-5, "noise_model": "centered-beta"}}))
+        assert main(["analytic", "--config", str(cfg)]) == 0
+        assert "nan" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags, key", [(["--ratio", "nan"], "channel.ratio"),
                                             (["--mu-b", "inf"], "channel.mu_b")])
     def test_non_finite_flag_exits_2(self, capsys, flags, key):
@@ -695,6 +714,20 @@ class TestCliGenEvalDtd:
         params = channel_params(resolve_config({"channel": channel})["channel"])
         assert doc["reference_optimum"] == optimal_threshold_bisection(params).r_th
         assert abs(doc["r_adj"] - doc["reference_optimum"]) < 0.02
+
+    def test_dtd_unbounded_interval_is_strict_json(self, tmp_path, rnn_weights):
+        """An unbounded side of the tie interval is written as null, not as -Infinity."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, "dtd": {"blocks": 10}}))
+        out = tmp_path / "dtd"
+        assert main(["dtd", "--config", str(cfg), "--out", str(out),
+                     "--weights", str(rnn_weights)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"dtd.json holds {name}")
+
+        doc = json.loads((out / "dtd.json").read_text(), parse_constant=refuse)
+        assert doc["interval"] == [None, doc["r_adj"]]  # the reads tie below the lowest
 
     def test_dtd_without_labels_exits_4(self, tmp_path):
         assert main(["dtd", "--out", str(tmp_path / "x")]) == 4
