@@ -15,6 +15,8 @@ and the minimizing threshold is found by bisecting the derivative.  For
 Gaussian variation and a fixed offset, setting the derivative to zero
 gives a quadratic in ``r`` whose minus branch is the closed-form optimum.
 The module takes only channel parameters as input: it samples no reads.
+Its float arithmetic needs no guard: inside the channel range that
+``ChannelParams`` accepts, it neither overflows nor divides by an underflowed 0.
 
 ``scipy.special`` is imported on first use, inside the three functions
 that call it, so that commands which never evaluate ``erfc`` or an
@@ -32,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams, NoiseModel, beta_alpha_for_sigma
-from .errors import NoRootError, UnsupportedModelError, float_range
+from .errors import NoRootError, UnsupportedModelError
 
 GH_NODES_DEFAULT = 64
 BISECTION_WIDTH = 1e-9
@@ -71,8 +73,7 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     by ``b``; equal variances degenerate to the midpoint (mu0 + mu1 + b)/2.
     A local-minimality probe guards the corner cases where the quadratic
     loses precision (variances equal to within about 1e-11) and falls back to
-    bisecting the derivative of the same objective, as does a sigma ratio
-    that underflows to 0.
+    bisecting the derivative of the same objective.
     """
     if params.noise_model is not NoiseModel.GAUSSIAN:
         raise UnsupportedModelError(
@@ -82,13 +83,10 @@ def optimal_threshold_closed_form(params: ChannelParams, b: float = 0.0) -> Thre
     s0, s1 = params.sigma0, params.sigma1
     if abs(s0 - s1) < 1e-12 * s0:
         r = 0.5 * (params.mu0 + params.mu1 + b)
-    elif s0 / s1 == 0.0:  # log(s0 / s1) is beyond float range, and so is the quadratic
-        r = optimal_threshold_bisection(fixed).r_th
     else:
-        with float_range("optimal_threshold_closed_form", fixed):
-            d0, d1 = s0 * s0, s1 * s1
-            disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
-            r = (mu1 * d0 - mu0 * d1 - s0 * s1 * math.sqrt(disc)) / (d0 - d1)
+        d0, d1 = s0 * s0, s1 * s1
+        disc = (mu0 - mu1) ** 2 + 2.0 * math.log(s0 / s1) * (d0 - d1)
+        r = (mu1 * d0 - mu0 * d1 - s0 * s1 * math.sqrt(disc)) / (d0 - d1)
         if not _is_local_min(r, fixed):
             r = optimal_threshold_bisection(fixed).r_th
     return ThresholdResult(r_th=r, ber=ber_variable_offset(r, fixed), method=Method.CLOSED_FORM)
@@ -185,8 +183,7 @@ def ber_variable_offset_derivative(
         u0 = (r_th - params.mu0) / params.sigma0
         f0 = math.exp(-0.5 * u0 * u0) / _SQRT2PI / params.sigma0
         u1 = (r_th - params.mu1 - b) / params.sigma1
-        with np.errstate(over="ignore"):  # u1 * u1 = inf far out, where exp(-inf) = 0 is exact
-            e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
+        e_f1 = float(np.dot(w, np.exp(-0.5 * u1 * u1) / _SQRT2PI)) / params.sigma1
     else:
         x0 = r_th - params.mu0 + BETA_MEAN
         a0, b0, log_norm = beta_terms[0]

@@ -25,7 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, channel_text, float_range, require_indexable
+from .errors import FormatError, ParameterError, channel_text, require_indexable
+
+# The accepted channel values, in kOhm: inside them a standardized read (r - mu) / sigma
+# stays below about 1e102 and sigma^2 above 1e-100, so the math and the reads stay finite.
+CHANNEL_MAX_KOHM = 1e50
+SIGMA_MIN_KOHM = 1e-50
 
 # Raw Beta(alpha, 1.2*alpha) facts used by the skewed-noise mode: the draw
 # lives on [0, 1] with mean 1/2.2, and its variance never exceeds the
@@ -96,20 +101,17 @@ class ChannelParams:
     noise_model: NoiseModel = NoiseModel.GAUSSIAN
 
     def __post_init__(self):
-        if not self.mu0 < self.mu1:
-            raise ParameterError(f"expected mu0 < mu1, got mu0={self.mu0}, mu1={self.mu1}")
-        if self.sigma0 <= 0 or self.sigma1 <= 0:
+        big, small = CHANNEL_MAX_KOHM, SIGMA_MIN_KOHM
+        if not (-big <= self.mu0 < self.mu1 <= big and small <= self.sigma0 <= big
+                and small <= self.sigma1 <= big and abs(self.offset_mu_b) <= big
+                and 0.0 <= self.offset_sigma_b <= big):
             raise ParameterError(
-                f"sigmas must be positive, got ({self.sigma0}, {self.sigma1})"
-            )
-        if self.offset_sigma_b < 0:
-            raise ParameterError(f"offset sigma must be >= 0, got {self.offset_sigma_b}")
+                f"a channel needs -{big:g} <= mu0 < mu1 <= {big:g}, sigmas in [{small:g}, {big:g}],"
+                f" |mu_b| <= {big:g} and sigma_b in [0, {big:g}] (kOhm), got {channel_text(self)}")
         if self.noise_model is NoiseModel.CENTERED_BETA:
-            # Fails fast when either state's sigma is outside the accepted range.
             try:
-                with float_range("beta_alpha_for_sigma", self):
-                    beta_alpha_for_sigma(self.sigma0)
-                    beta_alpha_for_sigma(self.sigma1)
+                beta_alpha_for_sigma(self.sigma0)
+                beta_alpha_for_sigma(self.sigma1)
             except ParameterError as exc:
                 raise ParameterError(f"{exc}, on {channel_text(self)}") from None
 
@@ -168,8 +170,9 @@ class QuantizerSpec:
         if not 1 <= self.bits <= QUANTIZER_MAX_BITS:
             raise ParameterError(
                 f"quantizer bits must be in [1, {QUANTIZER_MAX_BITS}], got {self.bits}")
-        if not self.lo < self.hi:
-            raise ParameterError(f"quantizer range is empty: [{self.lo}, {self.hi}]")
+        if not -CHANNEL_MAX_KOHM <= self.lo < self.hi <= CHANNEL_MAX_KOHM:
+            raise ParameterError(f"a quantizer range needs -{CHANNEL_MAX_KOHM:g} <= lo < hi <= "
+                                 f"{CHANNEL_MAX_KOHM:g} (kOhm), got [{self.lo:g}, {self.hi:g}]")
 
     @property
     def levels(self) -> int:

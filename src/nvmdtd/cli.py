@@ -5,12 +5,13 @@ Every flag except ``--config``, ``--out`` and ``--paper-scale`` sets one
 config key (``_FLAG_KEYS``) before the config is resolved.  ``main`` runs
 every command: resolve, create ``--out``, run, then echo the resolved config
 to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
+A refused run removes the ``--out`` it created when nothing was written there.
 This module decides which files a command writes, through :func:`write_csv`
 and :func:`write_json`; datasets and weight files have writers of their own.
 
-Exit codes: 0 success, 2 configuration or parameter problem, 3 numeric
-failure (training divergence, root bracketing, a finite channel value that
-overflows or underflows the float arithmetic), 4 missing or unreadable asset.
+Exit codes: 0 success, 2 configuration or parameter problem (a channel value
+outside the accepted range included), 3 numeric failure (training divergence,
+root bracketing), 4 missing, unreadable or mismatched asset.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ def _resolved(args) -> dict:
     return resolve_config(user, paper_scale=args.paper_scale)
 
 
-def _load_asset(path_str: str | None):
-    if path_str is None:
-        return None
+def _load_asset(path_str: str):
     path = Path(path_str)
     if not path.is_file():
         raise MissingAssetError(f"weight file not found: {path}")
@@ -158,10 +157,9 @@ def _labeler(cfg: dict, section: str):
     sec = cfg[section]
     if sec["genie"]:
         return GenieDetector()
-    model = _load_asset(sec["weights"])
-    if model is None:
+    if sec["weights"] is None:
         raise MissingAssetError(f"{section} needs --genie or a --weights file")
-    return NnDetector(model)
+    return NnDetector(_load_asset(sec["weights"]))
 
 
 def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dict]:
@@ -179,7 +177,12 @@ def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dic
         calib_blocks=sec["calib_blocks"],
         quantizer=quantizer_spec(sec["quantizer"]),
     )
-    assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None}
+    used = {name.removeprefix("dtd-") for name in spec.detectors}  # "dtd-mlp" uses the mlp
+    assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None and k in used}
+    for kind, model in assets.items():
+        if model.kind != kind:
+            raise FormatError(f"{section}.weights.{kind} is {sec['weights'][kind]}, whose "
+                              f"network is of kind {model.kind}, not {kind}")
     rows = harness.run_sweep(spec, assets=assets)
     write_csv(out / f"{section}.csv", SWEEP_COLUMNS, rows)
     return rows
@@ -278,14 +281,21 @@ _COMMANDS = {
 }
 
 
+# A refused run's exit code: the first entry naming its error's class (MemoryError: a bad size).
+_EXIT_CODES = ((EXIT_NUMERIC, (DivergenceError, NoRootError, ArithmeticError)),
+               (EXIT_ASSET, (MissingAssetError, FormatError)),
+               (EXIT_CONFIG, (NvmdtdError, MemoryError)))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    out = Path(args.out) if args.out else None  # only analytic may run without --out
+    created = False  # --out was absent before this call, and may be made by it
     try:
         cfg = _resolved(args)
-        out = Path(args.out) if args.out else None  # only analytic may run without --out
         if out is not None:
             try:
+                created = not out.exists()
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {out} cannot be a directory: {exc}")
@@ -293,15 +303,11 @@ def main(argv=None) -> int:
         if out is not None:
             echo_config(cfg, out, args.command)
         return EXIT_OK
-    except (DivergenceError, NoRootError, ArithmeticError) as exc:
+    except (NvmdtdError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (MissingAssetError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSET
-    except (NvmdtdError, MemoryError) as exc:  # a size no allocation can hold is a bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if created and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()
+        return next(code for code, kinds in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .channel import ChannelParams, NoiseModel, QuantizerSpec
 from .errors import ConfigError
+from .harness import DETECTORS, TRIGGER_KINDS
 from .nn.training import DESK_TRAIN_BLOCKS, MINIBATCH_BLOCKS, PAPER_TRAIN_BLOCKS, TrainConfig
 
 _CHANNEL_DEFAULTS = {
@@ -104,11 +105,12 @@ _NULLABLE_TYPES = {
 _POSITIVE_INTS = {"n", "hidden"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
                list: "a list", dict: "an object"}
-# The values an enumerated key may take, by the last two parts of its path, so that
-# `session.segments[i].channel.noise_model` is a `channel.noise_model`.
+# The values an enumerated key may take, by the last two parts of its path, and those of
+# each list item by its list's path: `segments[i].channel.noise_model` is a `channel.noise_model`.
 _NOISE_MODELS = [m.value for m in NoiseModel]
 _CHOICES = {"channel.noise_model": _NOISE_MODELS, "sweep.noise_model": _NOISE_MODELS,
-            "train.kind": sorted(MINIBATCH_BLOCKS)}
+            "train.kind": sorted(MINIBATCH_BLOCKS), "trigger.kind": list(TRIGGER_KINDS),
+            "eval.detectors": list(DETECTORS), "sweep.detectors": list(DETECTORS)}
 
 
 def _check_type(here: str, base, value) -> None:
@@ -130,7 +132,8 @@ def _check_type(here: str, base, value) -> None:
     if expected is list and base:
         for i, item in enumerate(value):
             _check_type(f"{here}[{i}]", base[0], item)
-    choices = _CHOICES.get(".".join(here.split(".")[-2:]))
+        return
+    choices = _CHOICES.get(".".join(here.split(".")[-2:]).partition("[")[0])
     if choices is not None and value not in choices:
         raise ConfigError(f"{here} must be one of {choices}, got {value!r}")
 

@@ -35,6 +35,11 @@ from .channel import ChannelParams, QuantizerSpec, derive_seed, sample_block_mat
 from .detectors import DtdResult, GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from .errors import MissingAssetError, ParameterError
 
+# The detector rows a sweep knows, and the kinds of recalibration trigger.
+DETECTORS = ("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full", "optimum-bound",
+             "genie", "mlp", "rnn", "dtd-mlp", "dtd-rnn")
+TRIGGER_KINDS = ("periodic", "on_failure")
+
 
 @dataclass(frozen=True)
 class BerEstimate:
@@ -152,12 +157,14 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None) -> list[dict]:
 def _detector_row(name: str, params: ChannelParams, refs, assets: dict,
                   spec: SweepSpec, calibration_blocks) -> tuple[dict, object]:
     """A detector's row and, when the row is simulated, the detector to score."""
+    if name not in DETECTORS:
+        raise ParameterError(f"unknown detector {name!r}")
     r_th = math.nan
     try:
         if name == "midpoint":
             r_th = 0.5 * (params.mu0 + params.mu1)
             det = ThresholdDetector(r_th)
-        elif name.startswith("opt-") and name in refs():
+        elif name.startswith("opt-"):
             r_th = refs()[name].r_th
             det = ThresholdDetector(r_th)
         elif name == "optimum-bound":
@@ -168,14 +175,12 @@ def _detector_row(name: str, params: ChannelParams, refs, assets: dict,
             det = GenieDetector()
         elif name in ("mlp", "rnn"):
             det = NnDetector(_require_asset(assets, name), spec.quantizer)
-        elif name in ("dtd-mlp", "dtd-rnn"):
-            kind = name.split("-", 1)[1]
+        else:  # dtd-mlp, dtd-rnn
+            kind = name.removeprefix("dtd-")
             nn_det = NnDetector(_require_asset(assets, kind), spec.quantizer)
             x, y = calibration_blocks()
             r_th = dtd_search(y, nn_det(y, x)).r_adj
             det = ThresholdDetector(r_th)
-        else:
-            raise ParameterError(f"unknown detector {name!r}")
     except MissingAssetError:
         return {"detector": name, "r_th": math.nan, "errors": 0, "bits": 0,
                 "ber": math.nan, "ci": math.nan}, None
@@ -203,7 +208,7 @@ class TriggerPolicy:
     threshold: float = 2.0 / 71.0
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "on_failure"):
+        if self.kind not in TRIGGER_KINDS:
             raise ParameterError(f"unknown trigger kind {self.kind!r}")
         if self.kind == "periodic" and self.period < 1:
             raise ParameterError("periodic trigger needs period >= 1")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from nvmdtd import analytic
@@ -16,11 +17,12 @@ from nvmdtd.analytic import (
     q_function,
     reference_thresholds,
 )
-from nvmdtd.channel import (BETA_MAX_SHAPE, BETA_MEAN, BETA_SHAPE_RATIO, ChannelParams,
-                            NoiseModel, beta_alpha_for_sigma, sample_block_matrix)
+from nvmdtd.channel import (BETA_MAX_SHAPE, BETA_MEAN, BETA_SHAPE_RATIO, CHANNEL_MAX_KOHM,
+                            SIGMA_MIN_KOHM, ChannelParams, NoiseModel, beta_alpha_for_sigma,
+                            sample_block_matrix)
 from nvmdtd.detectors import ThresholdDetector, threshold_detect
 from nvmdtd.harness import estimate_ber
-from nvmdtd.errors import UnsupportedModelError
+from nvmdtd.errors import NoRootError, ParameterError, UnsupportedModelError
 
 from empirical import empirical_threshold
 
@@ -193,11 +195,10 @@ class TestClosedForm:
         assert optimal_threshold_closed_form(p, b=0.0).r_th == pytest.approx(2.0, abs=1e-8)
 
     def test_underflowing_sigma_ratio_bisects(self):
-        # sigma0 / sigma1 underflows to 0, so log(sigma0 / sigma1) has no float value.
-        p = ChannelParams.from_ratio(0.05, mu0=2.6e-195, mu1=5e152)
-        res = optimal_threshold_closed_form(p, b=0.0)
-        assert res.r_th == optimal_threshold_bisection(p).r_th
-        assert p.mu0 < res.r_th < p.mu1
+        # sigma0 / sigma1 would underflow to 0, leaving log(sigma0 / sigma1) no float
+        # value; both sigmas are outside the accepted range, so the channel is refused.
+        with pytest.raises(ParameterError, match=r"sigmas in \[1e-50, 1e\+50\]"):
+            ChannelParams.from_ratio(0.05, mu0=2.6e-195, mu1=5e152)
 
     def test_dominates_grid(self):
         p = ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04)
@@ -269,8 +270,8 @@ class TestBisection:
 
     # From 2^23 kOhm up, adjacent floats are further apart than the 1e-9 kOhm
     # width, so the bisection must stop when no float lies between its ends.
-    # At 1e200 the product of the two end derivatives underflows to 0.
-    @pytest.mark.parametrize("mu0", [2.0 ** 23, 1e7, 1e20, 1e200])
+    # 1e49 puts mu1 = 2e49 next to the largest accepted magnitude.
+    @pytest.mark.parametrize("mu0", [2.0 ** 23, 1e7, 1e20, 1e49])
     def test_terminates_where_floats_are_coarser_than_the_width(self, mu0):
         scaled = ChannelParams.from_ratio(0.05, mu_b=-0.1 * mu0, sigma_b_over_mu1=0.04,
                                           mu0=mu0, mu1=2.0 * mu0)
@@ -279,6 +280,13 @@ class TestBisection:
         assert scaled.mu0 < opt.r_th < scaled.mu1
         # The channel law is scale-invariant, so the BER is the unit channel's.
         assert opt.ber == pytest.approx(optimal_threshold_bisection(unit).ber, rel=1e-6)
+
+    def test_signs_are_compared_where_their_product_underflows(self):
+        # Both read densities are about 1e-211 near this optimum, so the product of
+        # two derivatives there underflows to 0 and would pass for "no sign change".
+        p = ChannelParams.from_ratio(0.011)
+        assert optimal_threshold_bisection(p).r_th == pytest.approx(
+            optimal_threshold_closed_form(p, b=0.0).r_th, abs=1e-8)
 
     def test_derivative_root(self, offset_channel):
         opt = optimal_threshold_bisection(offset_channel)
@@ -340,6 +348,50 @@ def test_beta_density_is_within_1e_6_of_scipy_up_to_the_largest_shape():
         x = mean + sd * np.linspace(-5.0, 5.0, 201)
         got = analytic._beta_pdf(x, a, b, float(betaln(a, b)))
         assert np.max(np.abs(got / scipy_beta.pdf(x, a, b) - 1.0)) < 1e-6, a
+
+
+def _log_uniform(lo: float, hi: float):
+    """Magnitudes spread evenly in log10 over [lo, hi], ends included."""
+    return st.sampled_from(np.geomspace(lo, hi, 1001).tolist())
+
+
+_MAGNITUDE = _log_uniform(SIGMA_MIN_KOHM, CHANNEL_MAX_KOHM)
+_SIGNED = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda v: -v))
+
+
+@st.composite
+def _in_range_channels(draw):
+    """Channels inside the accepted range: either noise model, any scale, nearly equal
+    sigmas, large offsets, and centered-Beta sigmas up to the largest Beta shape."""
+    mu0, mu1 = sorted((draw(_SIGNED), draw(_SIGNED)))
+    assume(mu0 < mu1)
+    noise = draw(st.sampled_from(NoiseModel))
+    # sigma ~ 3.357e-5 is the largest Beta shape, and sigma^2 < 1.2/4.84 its smallest.
+    sigma = _MAGNITUDE if noise is NoiseModel.GAUSSIAN else _log_uniform(3.4e-5, 0.49)
+    sigma0 = draw(sigma)
+    sigma1 = draw(st.one_of(sigma, st.floats(-1e-11, 1e-11).map(lambda e: sigma0 * (1 + e))))
+    return ChannelParams(mu0, mu1, sigma0, sigma1,
+                         offset_mu_b=draw(_SIGNED), offset_sigma_b=abs(draw(_SIGNED)),
+                         noise_model=noise)
+
+
+# Inside the accepted range nothing overflows: every value is finite, and no numpy
+# RuntimeWarning (an error under this suite's warning filter) is raised.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(params=_in_range_channels())
+def test_channels_inside_the_range_give_finite_results(params):
+    r = 0.5 * (params.mu0 + params.mu1)
+    assert math.isfinite(ber_variable_offset(r, params))
+    assert math.isfinite(ber_variable_offset_derivative(r, params))
+    try:
+        refs = reference_thresholds(params)
+    except NoRootError:  # a derivative that keeps one sign is a documented exit 3
+        pass
+    else:
+        for res in refs.values():
+            assert math.isfinite(res.r_th) and math.isfinite(res.ber), res
+    _, y = sample_block_matrix(params, 4, 2, seed=0)
+    assert np.isfinite(y).all()
 
 
 def beta_channel(ratio, mu_b=-0.15, sigma_b_over_mu1=0.04):

@@ -71,6 +71,21 @@ class TestChannelParams:
         with pytest.raises(ParameterError):
             ChannelParams(1.0, 2.0, 0.05, 0.55, noise_model=NoiseModel.CENTERED_BETA)
 
+    def test_accepted_range_edges(self):
+        big, small = channel.CHANNEL_MAX_KOHM, channel.SIGMA_MIN_KOHM
+        ChannelParams(-big, big, small, big, offset_mu_b=-big, offset_sigma_b=big)
+        beyond = [dict(mu1=2.0 * big), dict(mu0=-2.0 * big), dict(sigma0=0.5 * small),
+                  dict(sigma1=2.0 * big), dict(offset_mu_b=2.0 * big),
+                  dict(offset_sigma_b=2.0 * big), dict(sigma0=0.0), dict(sigma1=math.nan)]
+        for change in beyond:
+            values = dict(mu0=1.0, mu1=2.0, sigma0=0.05, sigma1=0.1) | change
+            with pytest.raises(ParameterError, match=r"a channel needs .*\(kOhm\), got the channel"):
+                ChannelParams(**values)
+
+    def test_range_is_checked_before_the_beta_shape(self):
+        with pytest.raises(ParameterError, match=r"sigmas in \[1e-50, 1e\+50\]"):
+            ChannelParams.from_ratio(1e-200, noise_model=NoiseModel.CENTERED_BETA)
+
     def test_hash_distinguishes_params(self):
         a = ChannelParams.from_ratio(0.05)
         b = ChannelParams.from_ratio(0.05, mu_b=-0.2)
@@ -352,6 +367,14 @@ class TestQuantizer:
         assert QuantizerSpec(52, 0.5, 2.5).levels == 2 ** 52
         with pytest.raises(ParameterError):
             QuantizerSpec(3, 2.5, 0.5)
+
+    def test_range_beyond_the_channel_range_rejected(self):
+        # [-1e308, 1e308] would give infinite cells and map every read to inf.
+        with pytest.raises(ParameterError, match=r"-1e\+50 <= lo < hi <= 1e\+50"):
+            QuantizerSpec(3, -1e308, 1e308)
+        big = channel.CHANNEL_MAX_KOHM
+        assert np.isfinite(quantize(np.array([-2.0 * big, 0.0, 2.0 * big]),
+                                    QuantizerSpec(3, -big, big))).all()
 
 
 class TestDatasetIO:

@@ -493,6 +493,10 @@ class TestCliTrain:
                                                "channel": {"noise_model": "cauchy"}}]}},
          "session.segments[0].channel.noise_model"),
         ("train", {"train": {"kind": "cnn"}}, "train.kind"),
+        ("session", {"session": {"trigger": {"kind": "sometimes", "period": 5}}},
+         "session.trigger.kind"),
+        ("eval", {"eval": {"detectors": ["midpoint", "bogus"]}}, "eval.detectors[1]"),
+        ("sweep", {"sweep": {"detectors": ["bogus"]}}, "sweep.detectors[0]"),
     ])
     def test_unknown_noise_model_exits_2(self, tmp_path, capsys, command, doc, key):
         """A refused enumerated value exits 2 while the config is resolved, before --out exists."""
@@ -609,7 +613,8 @@ class TestCliAnalytic:
         rc = main(["analytic", "--ratio", "-0.05"])
         assert rc == 2
 
-    # Finite values whose reference math underflows to a zero divisor or overflows.
+    # Finite values whose reference math would underflow to a zero divisor or overflow:
+    # outside the accepted channel range, so refused with exit 2, not computed.
     @pytest.mark.parametrize("channel", [
         {"ratio": 1e-300},
         {"mu_b": 1e300},
@@ -619,12 +624,16 @@ class TestCliAnalytic:
     def test_arithmetic_failure_exits_3(self, tmp_path, capsys, channel):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"channel": channel}))
-        assert main(["analytic", "--config", str(cfg)]) == 3
+        assert main(["analytic", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith("error: a channel needs -1e+50 <= mu0 < mu1 <= 1e+50, sigmas in "
+                              "[1e-50, 1e+50], |mu_b| <= 1e+50"), err
+        assert "got the channel mu0=" in err, err
+        assert err.count("\n") == 1, err
 
     # Centered-Beta channels whose Beta shape exceeds BETA_MAX_SHAPE (sigma below about
     # 3.36e-5): NaN BERs from 1e-155 down, overflow warnings from 1e-30, lost precision from 1e-8.
+    # A sigma below 1e-50 is refused first, by the accepted channel range.
     @pytest.mark.parametrize("ratio", [1e-160, 1e-155, 1e-140, 1e-30, 1e-8, 1e-7, 1e-6, 3.3e-5])
     def test_beta_shape_beyond_the_largest_exits_2(self, tmp_path, capsys, ratio):
         cfg = tmp_path / "c.json"
@@ -632,7 +641,8 @@ class TestCliAnalytic:
         assert main(["analytic", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "at most 1e+08" in err and f"sigma0={ratio:g}," in err, err
+        limit = "at most 1e+08" if ratio >= 1e-50 else "sigmas in [1e-50, 1e+50]"
+        assert limit in err and f"sigma0={ratio:g}," in err, err
 
     def test_beta_shape_just_inside_the_largest_runs(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -736,6 +746,72 @@ class TestCliGenEvalDtd:
         rc = main(["dtd", "--out", str(tmp_path / "x"),
                    "--weights", str(tmp_path / "missing.nvmw")])
         assert rc == 4
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_weight_file_of_the_other_kind_exits_4(self, tmp_path, capsys, rnn_weights, command):
+        """An RNN weight file given for the mlp rows is refused, not scored as the mlp."""
+        section = {"blocks": 10, "detectors": ["midpoint", "mlp"]}
+        flags = []
+        if command == "eval":
+            section["weights"] = {"mlp": str(rnn_weights)}
+        else:
+            flags = ["--weights-mlp", str(rnn_weights)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, command: section}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 4
+        assert capsys.readouterr().err == (f"error: {command}.weights.mlp is {rnn_weights}, "
+                                           "whose network is of kind rnn, not mlp\n")
+        assert not out.exists()
+
+
+# Configs that resolve but are refused once their command runs, after --out exists.
+_REFUSED_RUNS = [
+    pytest.param("session", {"session": {"segments": []}}, id="session.segments"),
+    pytest.param("session", {"session": {"total_blocks": 0}}, id="session.total_blocks"),
+    pytest.param("session", {"session": {"trigger": {"kind": "periodic", "period": 0}}},
+                 id="session.trigger.period"),
+    pytest.param("session", {"session": {"m_blocks": 0}}, id="session.m_blocks"),
+    pytest.param("eval", {"eval": {"quantizer": {"bits": 0}}}, id="eval.quantizer.bits"),
+    pytest.param("eval", {"eval": {"blocks": 0}}, id="eval.blocks"),
+    pytest.param("eval", {"eval": {"calib_blocks": 0, "detectors": ["dtd-rnn"]}},
+                 id="eval.calib_blocks"),
+    pytest.param("dtd", {"dtd": {"blocks": 0}}, id="dtd.blocks"),
+    pytest.param("gen", {"gen": {"blocks": 0}}, id="gen.blocks"),
+    pytest.param("train", {"train": {"epochs": 0}}, id="train.epochs"),
+    pytest.param("train", {"train": {"learning_rate": 0}}, id="train.learning_rate"),
+    pytest.param("gen", {"channel": {"ratio": -1}}, id="channel.ratio"),
+    # Values beyond the accepted channel range, whose reads would overflow to inf.
+    pytest.param("eval", {"channel": {"mu0": 1e308, "mu1": 1.5e308, "ratio": 0.5}},
+                 id="channel.mu0"),
+    pytest.param("dtd", {"channel": {"mu_b": 1e308}}, id="channel.mu_b"),
+    pytest.param("eval", {"eval": {"quantizer": {"bits": 3, "lo": -1e308, "hi": 1e308}}},
+                 id="eval.quantizer.lo"),
+]
+
+
+class TestCliRefusedRun:
+    @pytest.mark.parametrize("command, doc", _REFUSED_RUNS)
+    def test_refused_run_leaves_no_out(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8} | doc))
+        out = tmp_path / "o"
+        genie = ["--genie"] if command in ("dtd", "session") else []
+        assert main([command, "--config", str(cfg), "--out", str(out)] + genie) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_refused_run_keeps_an_out_it_did_not_create(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gen": {"blocks": 0}}))
+        empty, full = tmp_path / "empty", tmp_path / "full"
+        empty.mkdir()
+        full.mkdir()
+        (full / "keep.txt").write_text("x")
+        for out in (empty, full):
+            assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert empty.is_dir() and (full / "keep.txt").read_text() == "x"
 
 
 class TestCliSweepSession:
