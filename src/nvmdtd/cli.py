@@ -5,7 +5,7 @@ Every flag except ``--config``, ``--out`` and ``--paper-scale`` sets one
 config key (``_FLAG_KEYS``) before the config is resolved.  ``main`` runs
 every command: resolve, create ``--out``, run, then echo the resolved config
 to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
-A refused run removes the ``--out`` it created when nothing was written there.
+A refused run removes the ``--out`` and the parents it created while they are empty.
 This module decides which files a command writes, through :func:`write_csv`
 and :func:`write_json`; datasets and weight files have writers of their own.
 
@@ -145,11 +145,16 @@ def _resolved(args) -> dict:
     return resolve_config(user, paper_scale=args.paper_scale)
 
 
-def _load_asset(path_str: str):
-    path = Path(path_str)
-    if not path.is_file():
+def _network(key: str, path: str | None, unset: str, kind: str | None = None):
+    """The network in weight file ``path`` (config key ``key``), of ``kind`` unless None."""
+    if path is None:
+        raise MissingAssetError(unset)
+    if not Path(path).is_file():
         raise MissingAssetError(f"weight file not found: {path}")
-    return load_weights(path)
+    model = load_weights(Path(path))
+    if kind is not None and model.kind != kind:
+        raise FormatError(f"{key} is {path}, whose network is of kind {model.kind}, not {kind}")
+    return model
 
 
 def _labeler(cfg: dict, section: str):
@@ -157,13 +162,13 @@ def _labeler(cfg: dict, section: str):
     sec = cfg[section]
     if sec["genie"]:
         return GenieDetector()
-    if sec["weights"] is None:
-        raise MissingAssetError(f"{section} needs --genie or a --weights file")
-    return NnDetector(_load_asset(sec["weights"]))
+    return NnDetector(_network(f"{section}.weights", sec["weights"],
+                               f"{section} needs --genie or a --weights file"))
 
 
 def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dict]:
-    """Run ``cfg[section]``'s detectors at ``channels``, all built first, into ``<section>.csv``."""
+    """Run ``cfg[section]``'s detectors at ``channels`` into ``<section>.csv``; the channels
+    are built, and every network a row uses is loaded, before any block is drawn."""
     # A point's row labels are its channel keys as the config gives them.
     points = tuple(({k: ch[k] for k in SWEEP_COLUMNS[:4]}, channel_params(ch))
                    for ch in channels)
@@ -177,12 +182,13 @@ def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dic
         calib_blocks=sec["calib_blocks"],
         quantizer=quantizer_spec(sec["quantizer"]),
     )
-    used = {name.removeprefix("dtd-") for name in spec.detectors}  # "dtd-mlp" uses the mlp
-    assets = {k: _load_asset(v) for k, v in sec["weights"].items() if v is not None and k in used}
-    for kind, model in assets.items():
-        if model.kind != kind:
-            raise FormatError(f"{section}.weights.{kind} is {sec['weights'][kind]}, whose "
-                              f"network is of kind {model.kind}, not {kind}")
+    assets = {}
+    for name in spec.detectors:
+        kind = name.removeprefix("dtd-")  # "dtd-mlp" uses the mlp
+        if kind in sec["weights"] and kind not in assets:
+            key = f"{section}.weights.{kind}"
+            assets[kind] = _network(key, sec["weights"][kind],
+                                    f"{key} is not set; the {name} row needs it", kind)
     rows = harness.run_sweep(spec, assets=assets)
     write_csv(out / f"{section}.csv", SWEEP_COLUMNS, rows)
     return rows
@@ -290,12 +296,12 @@ _EXIT_CODES = ((EXIT_NUMERIC, (DivergenceError, NoRootError, ArithmeticError)),
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out) if args.out else None  # only analytic may run without --out
-    created = False  # --out was absent before this call, and may be made by it
+    created = []  # --out and the parents absent before this call, --out first
     try:
         cfg = _resolved(args)
         if out is not None:
             try:
-                created = not out.exists()
+                created = [path for path in (out, *out.parents) if not path.exists()]
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {out} cannot be a directory: {exc}")
@@ -305,8 +311,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (NvmdtdError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if created and out.is_dir() and not any(out.iterdir()):
-            out.rmdir()
+        for path in created:  # --out, then each parent this call made, while empty
+            if path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
         return next(code for code, kinds in _EXIT_CODES if isinstance(exc, kinds))
 
 

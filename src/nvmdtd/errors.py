@@ -27,7 +27,7 @@ class NoRootError(NvmdtdError):
 
 
 class DivergenceError(NvmdtdError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or value."""
 
 
 class FormatError(NvmdtdError):

@@ -17,9 +17,7 @@ The reference thresholds come from :func:`analytic.reference_thresholds`:
 ``opt-full`` is the exact optimum under the channel's own variation law,
 Gaussian or centered-Beta, and ``optimum-bound`` is its exact BER, a row
 with ``bits = 0`` because nothing is simulated.  They are computed only
-at points that have an ``opt-*`` or ``optimum-bound`` row.  Rows that
-could not run (missing weight assets) carry NaN estimates and keep the
-sweep going.
+at points that have an ``opt-*`` or ``optimum-bound`` row.
 """
 
 from __future__ import annotations
@@ -122,8 +120,8 @@ def run_sweep(spec: SweepSpec, assets: dict | None = None) -> list[dict]:
 
     Point ``i`` runs on ``derive_seed(spec.seed, i)``: its channel as given, its labels
     at the head of its rows.
-    ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows.
-    Missing assets produce NaN rows instead of aborting the sweep.  The
+    ``assets`` maps "mlp"/"rnn" to trained models for the NN and DTD rows;
+    a row whose model is missing raises MissingAssetError.  The
     simulated rows of a point are scored in one pass over the same blocks.
     A point's reference thresholds are computed once, by its first ``opt-*``
     or ``optimum-bound`` row, so a sweep without such rows never computes them.
@@ -160,30 +158,24 @@ def _detector_row(name: str, params: ChannelParams, refs, assets: dict,
     if name not in DETECTORS:
         raise ParameterError(f"unknown detector {name!r}")
     r_th = math.nan
-    try:
-        if name == "midpoint":
-            r_th = 0.5 * (params.mu0 + params.mu1)
-            det = ThresholdDetector(r_th)
-        elif name.startswith("opt-"):
-            r_th = refs()[name].r_th
-            det = ThresholdDetector(r_th)
-        elif name == "optimum-bound":
-            full = refs()["opt-full"]
-            return {"detector": name, "r_th": full.r_th, "errors": 0, "bits": 0,
-                    "ber": full.ber, "ci": 0.0}, None
-        elif name == "genie":
-            det = GenieDetector()
-        elif name in ("mlp", "rnn"):
-            det = NnDetector(_require_asset(assets, name), spec.quantizer)
-        else:  # dtd-mlp, dtd-rnn
-            kind = name.removeprefix("dtd-")
-            nn_det = NnDetector(_require_asset(assets, kind), spec.quantizer)
+    if name == "midpoint":
+        r_th = 0.5 * (params.mu0 + params.mu1)
+        det = ThresholdDetector(r_th)
+    elif name.startswith("opt-"):
+        r_th = refs()[name].r_th
+        det = ThresholdDetector(r_th)
+    elif name == "optimum-bound":
+        full = refs()["opt-full"]
+        return {"detector": name, "r_th": full.r_th, "errors": 0, "bits": 0,
+                "ber": full.ber, "ci": 0.0}, None
+    elif name == "genie":
+        det = GenieDetector()
+    else:  # mlp, rnn, dtd-mlp, dtd-rnn
+        det = NnDetector(_require_asset(assets, name.removeprefix("dtd-")), spec.quantizer)
+        if name.startswith("dtd-"):
             x, y = calibration_blocks()
-            r_th = dtd_search(y, nn_det(y, x)).r_adj
+            r_th = dtd_search(y, det(y, x)).r_adj
             det = ThresholdDetector(r_th)
-    except MissingAssetError:
-        return {"detector": name, "r_th": math.nan, "errors": 0, "bits": 0,
-                "ber": math.nan, "ci": math.nan}, None
     return {"detector": name, "r_th": r_th}, det
 
 

@@ -197,7 +197,9 @@ class RnnModel(_Network):
         if ntiles < 2:
             out = self._forward_rows(yb)
         else:
-            tiles = _tile_pool().map(self._forward_rows, np.array_split(yb, ntiles))
+            # A pool thread starts with numpy's default float error handling, not the caller's.
+            rows = np.errstate(**np.geterr())(self._forward_rows)
+            tiles = _tile_pool().map(rows, np.array_split(yb, ntiles))
             out = np.concatenate(list(tiles))
         return out[0] if was_1d else out
 

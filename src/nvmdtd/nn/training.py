@@ -80,8 +80,8 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
     """Train a fresh model of the given kind on data sampled from ``params``.
 
     Raises :class:`DivergenceError` as soon as a minibatch loss goes
-    non-finite.  Two calls with identical arguments produce bit-identical
-    weights.
+    non-finite or a float operation overflows or is invalid.  Two calls with
+    identical arguments produce bit-identical weights.
     """
     init_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(_SEED_LANE_INIT,))
@@ -101,26 +101,30 @@ def train(kind: str, params: ChannelParams, config: TrainConfig,
     state = AdamState.for_params(model.params)
 
     history: list[EpochRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(config.train_blocks)
-        loss_sum = 0.0
-        steps = 0
-        for start in range(0, config.train_blocks, config.minibatch_blocks):
-            idx = order[start:start + config.minibatch_blocks]
-            loss, grads = model.value_and_grad(y_train[idx], t_train[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {steps} (kind={kind}, "
-                    f"lr={config.learning_rate})"
+    # An overflow or invalid operation in a step or a validation pass is divergence. No
+    # learning-rate range rules it out: the recurrent backward pass multiplies N Jacobians.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(1, config.epochs + 1):
+                order = shuffle_rng.permutation(config.train_blocks)
+                loss_sum = 0.0
+                steps = 0
+                for start in range(0, config.train_blocks, config.minibatch_blocks):
+                    idx = order[start:start + config.minibatch_blocks]
+                    loss, grads = model.value_and_grad(y_train[idx], t_train[idx])
+                    if not np.isfinite(loss):
+                        raise FloatingPointError("non-finite loss")
+                    adam_step(model.params, grads, state, lr=config.learning_rate)
+                    loss_sum += loss
+                    steps += 1
+                history.append(
+                    EpochRecord(
+                        epoch=epoch,
+                        val_ber=validation_ber(model, x_val, y_val),
+                        train_loss=loss_sum / steps,
+                    )
                 )
-            adam_step(model.params, grads, state, lr=config.learning_rate)
-            loss_sum += loss
-            steps += 1
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                val_ber=validation_ber(model, x_val, y_val),
-                train_loss=loss_sum / steps,
-            )
-        )
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{exc} at epoch {epoch}, step {steps} (kind={kind}, "
+                              f"lr={config.learning_rate})") from None
     return TrainResult(model=model, history=history)

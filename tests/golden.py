@@ -8,10 +8,12 @@ checkout path and the ``--out`` path are replaced by ``<checkout>`` and
 scratch directory lives.
 
 Byte identity holds at a fixed BLAS thread count and numpy version; the
-table was recorded with ``OPENBLAS_NUM_THREADS=1``, so run it with that::
+table was recorded at one BLAS thread.  Run as a script, it sets
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 before numpy is
+imported; imported as a module, it changes no environment variable::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py           # compare
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --update  # rewrite
+    PYTHONPATH=src python tests/golden.py           # compare
+    PYTHONPATH=src python tests/golden.py --update  # rewrite
 
 A change that declares a seeded difference regenerates ``golden.json`` with
 ``--update``, which first prints one line per moved digest (case/file:
@@ -25,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -150,4 +153,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")  # before run_case imports numpy
     sys.exit(main())

@@ -813,20 +813,61 @@ class TestCliRefusedRun:
             assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
         assert empty.is_dir() and (full / "keep.txt").read_text() == "x"
 
+    def test_refused_run_removes_the_parents_it_created(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gen": {"blocks": 0}}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", str(cfg), "--out", "lo/a/b/c"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x" / "y")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_refused_run_keeps_the_parents_that_existed(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gen": {"blocks": 0}}))
+        (tmp_path / "lo" / "a").mkdir(parents=True)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "lo/a/b/c")]) == 2
+        assert [p.name for p in (tmp_path / "lo").rglob("*")] == ["a"]
+
 
 class TestCliSweepSession:
-    def test_sweep_with_missing_assets_writes_nan_rows(self, tmp_path):
+    def test_sweep_with_missing_assets_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "n": 8,
             "sweep": {"ratios": [0.1], "detectors": ["midpoint", "rnn"], "blocks": 100},
         }))
         out = tmp_path / "sw"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 3
-        rnn_row = next(l for l in lines if ",rnn," in l)
-        assert "nan" in rnn_row
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: sweep.weights.rnn is not set; the rnn row needs it\n")
+        assert not out.exists()
+
+    # The first row that needs an unset network names it; a set one is loaded first.
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("detectors, weights, key, row", [
+        (["midpoint", "rnn", "dtd-mlp"], {}, "rnn", "rnn"),
+        (["dtd-rnn", "rnn"], {}, "rnn", "dtd-rnn"),
+        (["mlp"], {}, "mlp", "mlp"),
+        (["genie", "dtd-mlp", "rnn"], {"rnn": "rnn"}, "mlp", "dtd-mlp"),
+        (["opt-full", "dtd-mlp", "rnn"], {"mlp": "mlp"}, "rnn", "rnn"),
+    ], ids=["rnn", "dtd-rnn", "mlp", "dtd-mlp", "rnn-after-dtd-mlp"])
+    def test_network_row_without_weights_exits_4_before_any_block(
+            self, tmp_path, capsys, monkeypatch, command, detectors, weights, key, row):
+        def never(*args, **kwargs):
+            raise AssertionError("a block was drawn before the networks were loaded")
+
+        monkeypatch.setattr(harness, "sample_block_matrix", never)
+        stored = Path(__file__).resolve().parents[1] / "perfbench" / "weights"
+        section = {"blocks": 20, "detectors": detectors,
+                   "weights": {k: str(stored / f"weights-{v}.nvmw") for k, v in weights.items()}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({command: section}))
+        out = tmp_path / "a" / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {command}.weights.{key} is not set; the {row} row needs it\n")
+        assert not (tmp_path / "a").exists()
 
     def test_eval_and_sweep_honour_mu0_mu1(self, tmp_path, capsys):
         detectors = ["midpoint", "opt-no-offset", "opt-mean-offset", "opt-full"]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,18 +80,14 @@ def _runs(draw):
     return command, doc
 
 
-# Each case draws at most 200 x 200 reads and starts no thread or process.
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(run=_runs())
-def test_block_drawing_commands_end_in_a_documented_exit_code(tmp_path_factory, run):
-    command, doc = run
-    base = tmp_path_factory.getbasetemp()
+def _check_run(base, command: str, doc: dict, flags=()) -> int:
+    """Run ``command`` on ``doc`` with ``--out`` under ``base``; a refusal prints one
+    ``error:`` line and leaves no ``--out``.  Returns the exit code."""
     cfg, out = base / "run.json", base / "run-out"
     cfg.write_text(json.dumps(doc))
-    genie = ["--genie"] if command in ("dtd", "session") else []
     printed, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
-        rc = main([command, "--config", str(cfg), "--out", str(out)] + genie)
+        rc = main([command, "--config", str(cfg), "--out", str(out), *flags])
     if rc == 0:
         assert (out / "config-resolved.json").is_file()
         shutil.rmtree(out)
@@ -99,6 +96,101 @@ def test_block_drawing_commands_end_in_a_documented_exit_code(tmp_path_factory, 
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
         assert not out.exists()
+    return rc
+
+
+# Each case draws at most 200 x 200 reads and starts no thread or process.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(run=_runs())
+def test_block_drawing_commands_end_in_a_documented_exit_code(tmp_path_factory, run):
+    command, doc = run
+    genie = ["--genie"] if command in ("dtd", "session") else []
+    _check_run(tmp_path_factory.getbasetemp(), command, doc, genie)
+
+
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "weights"
+_NETWORK_FLAGS = st.sampled_from([[], ["--weights-rnn", str(STORED / "weights-rnn.nvmw")],
+                                  ["--weights-mlp", str(STORED / "weights-mlp.nvmw")],
+                                  ["--weights-mlp", str(STORED / "weights-rnn.nvmw")]])
+
+
+@st.composite
+def _train_and_sweep_runs(draw):
+    """A ``train`` or ``sweep`` run with counts from -2 to 8 and tiny sizes.
+
+    Half the cases draw only counts and sizes from 1 to 8 and keep the default
+    channel, so that many of them run: to the end, or to a divergence.
+    """
+    live = draw(st.booleans())
+    count = st.integers(1 if live else -2, 8)
+    size = count if live else st.one_of(st.none(), count)  # null: the default width
+    doc = {"n": draw(count), "channel": {} if live else draw(_RUN_CHANNELS)}
+    if draw(st.booleans()):
+        # Learning rates inside the accepted range (any positive finite number) and beyond.
+        rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        doc["train"] = {"kind": draw(st.sampled_from(["mlp", "rnn"] + ["lstm"] * (not live))),
+                        "hidden": draw(size), "minibatch_blocks": draw(size),
+                        "learning_rate": draw(st.one_of(st.floats(1e-4, 1.0), rates,
+                                                        st.sampled_from([1e200, 1e300]))
+                                              if live else st.floats()),
+                        **{k: draw(count) for k in ("epochs", "train_blocks", "validation_blocks")}}
+        return "train", doc, []
+    values = st.lists(st.floats(0.01, 0.3) if live else st.one_of(st.floats(0.01, 0.3), _FINITE),
+                      min_size=live, max_size=2)
+    doc["sweep"] = {"ratios": draw(values), "mu_b_values": draw(values),
+                    "detectors": draw(st.lists(st.sampled_from(
+                        ["midpoint", "opt-full", "optimum-bound", "genie", "mlp", "rnn",
+                         "dtd-mlp", "dtd-rnn"] + ["lstm"] * (not live)), min_size=live, max_size=3)),
+                    "blocks": draw(count), "calib_blocks": draw(count)}
+    return "sweep", doc, draw(_NETWORK_FLAGS)
+
+
+# A case trains at most 8 epochs of 8 blocks, or sweeps 4 points of 8 blocks; its
+# recurrent forwards have fewer rows than a tile, so no thread is started.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(run=_train_and_sweep_runs())
+def test_train_and_sweep_end_in_a_documented_exit_code(tmp_path_factory, run):
+    _check_run(tmp_path_factory.getbasetemp(), *run)
+
+
+_RNN_BYTES = (STORED / "weights-rnn.nvmw").read_bytes()
+_MANIFEST_BITS = 8 * (_RNN_BYTES.index(b"\ndata\n") + len(b"\ndata\n"))
+
+
+@st.composite
+def _damaged_weight_runs(draw):
+    """The stored RNN's weight file, truncated or with one bit flipped, used by an
+    ``eval`` or ``sweep`` network row or by ``dtd --weights``."""
+    if draw(st.booleans()):
+        damaged = _RNN_BYTES[:draw(st.integers(0, len(_RNN_BYTES) - 1))]
+    else:
+        bit = draw(st.one_of(st.integers(0, _MANIFEST_BITS - 1),
+                             st.integers(0, 8 * len(_RNN_BYTES) - 1)))
+        damaged = bytearray(_RNN_BYTES)
+        damaged[bit // 8] ^= 1 << bit % 8
+    command = draw(st.sampled_from(["eval", "sweep", "dtd"]))
+    doc = {"n": draw(st.integers(1, 8))}
+    section = {"blocks": draw(st.integers(1, 8))}
+    if command != "dtd":
+        section |= {"calib_blocks": draw(st.integers(1, 8)),
+                    "detectors": draw(st.lists(st.sampled_from(["midpoint", "rnn", "dtd-rnn"]),
+                                               min_size=1, max_size=3))}
+    doc[command] = section
+    return command, doc, bytes(damaged)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(run=_damaged_weight_runs())
+def test_damaged_weight_file_ends_in_a_documented_exit_code(tmp_path_factory, run):
+    command, doc, damaged = run
+    base = tmp_path_factory.getbasetemp()
+    weights = base / "damaged.nvmw"
+    weights.write_bytes(damaged)
+    flags = {"eval": [], "sweep": ["--weights-rnn", str(weights)],
+             "dtd": ["--weights", str(weights)]}[command]
+    if command == "eval":
+        doc["eval"]["weights"] = {"rnn": str(weights)}
+    assert _check_run(base, command, doc, flags) in (0, 4)
 
 
 # Finite channel values whose float arithmetic would overflow or divide by an

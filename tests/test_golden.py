@@ -78,3 +78,19 @@ def test_update_prints_moved_digests_before_rewriting(tmp_path, monkeypatch, cap
     assert capsys.readouterr().out.splitlines() == [
         "gen/data.txt: b -> c", f"wrote 2 digests to {table}"]
     assert json.loads(table.read_text()) == fresh
+
+
+def test_script_sets_one_blas_thread_and_module_sets_none():
+    before = dict(os.environ)
+    _load_golden()
+    assert dict(os.environ) == before
+    # As a script (here stopped by --help before any case runs) it pins both counts.
+    show = ("import os, runpy, sys\n"
+            "try:\n    runpy.run_path(sys.argv.pop(1), run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    env = os.environ | {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", show, str(SCRIPT), "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 1"

@@ -16,7 +16,7 @@ from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed, sample_block_
 from nvmdtd.cli import CURVE_COLUMNS, SWEEP_COLUMNS, main
 from nvmdtd.config import DEFAULT_CONFIG, channel_params
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
-from nvmdtd.errors import ParameterError
+from nvmdtd.errors import MissingAssetError, ParameterError
 from nvmdtd.harness import (
     BerEstimate,
     DriftSchedule,
@@ -147,17 +147,17 @@ class TestRunSweep:
         assert rows["opt-no-offset"]["ber"] >= rows["opt-full"]["ber"]
         assert rows["opt-mean-offset"]["ber"] >= rows["opt-full"]["ber"] - rows["opt-full"]["ci"]
 
-    def test_missing_weights_marked_not_fatal(self):
+    @pytest.mark.parametrize("detectors", [("midpoint", "rnn"), ("midpoint", "dtd-rnn")],
+                             ids=["rnn", "dtd-rnn"])
+    def test_missing_weights_raise(self, detectors):
         spec = SweepSpec(
             points=_points((0.10,)),
-            detectors=("midpoint", "rnn", "dtd-rnn"),
+            detectors=detectors,
             blocks_per_point=200,
             seed=7,
         )
-        rows = {row["detector"]: row for row in run_sweep(spec, assets={})}
-        assert math.isfinite(rows["midpoint"]["ber"])
-        assert math.isnan(rows["rnn"]["ber"])
-        assert math.isnan(rows["dtd-rnn"]["ber"])
+        with pytest.raises(MissingAssetError, match="no trained rnn weights"):
+            run_sweep(spec, assets={"mlp": None})
 
     def test_nn_and_dtd_rows_with_trained_asset(self, trained_tiny_mlp):
         params, model = trained_tiny_mlp

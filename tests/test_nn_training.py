@@ -1,11 +1,16 @@
+import json
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from nvmdtd.channel import ChannelParams, derive_seed, sample_block_matrix
+from nvmdtd.cli import main
 from nvmdtd.config import resolve_config, train_config
 from nvmdtd.errors import DivergenceError, ParameterError
 from nvmdtd.nn import training
-from nvmdtd.nn.models import RnnModel
+from nvmdtd.nn.models import RNN_TILE_ROWS, RnnModel
 from nvmdtd.nn.training import TrainConfig, create_model, train, validation_ber
 
 
@@ -90,3 +95,43 @@ class TestTrain:
             x, y = sample_block_matrix(params, 8, 100, seed=derive_seed(77, 1))
             losses.append(result.model.value_and_grad(y, x.astype(float))[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+class TestOverflowIsDivergence:
+    """Every positive finite learning rate is accepted.  A run whose floats overflow
+    ends in DivergenceError; the suite raises any RuntimeWarning as an error, so a
+    warning printed instead would fail these tests."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "rnn"])
+    def test_largest_learning_rate_diverges(self, offset_channel, kind):
+        cfg = small_config(epochs=1, train_blocks=8, validation_blocks=2,
+                           learning_rate=sys.float_info.max)
+        with pytest.raises(DivergenceError, match=r"^overflow encountered in \w+ at epoch 1, "):
+            train(kind, offset_channel, cfg, n=6, hidden=3)
+
+    @pytest.mark.parametrize("kind", ["mlp", "rnn"])
+    def test_smallest_learning_rate_trains(self, offset_channel, kind):
+        cfg = small_config(epochs=1, train_blocks=8, validation_blocks=2,
+                           learning_rate=math.ulp(0.0))
+        (record,) = train(kind, offset_channel, cfg, n=6, hidden=3).history
+        assert math.isfinite(record.train_loss)
+
+    @pytest.mark.parametrize("lr", [1e200, 1e300])
+    def test_train_command_exits_3(self, tmp_path, capsys, lr):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 6, "train": {
+            "kind": "mlp", "epochs": 1, "train_blocks": 8, "validation_blocks": 2,
+            "hidden": 3, "learning_rate": lr}}))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: overflow encountered in matmul at epoch 1, "
+                                           f"step 1 (kind=mlp, lr={lr:g})\n")
+        assert not out.exists()
+
+    def test_overflow_in_a_pooled_validation_pass_diverges(self, offset_channel):
+        """Validation of two row tiles runs on the tile pool's threads; one training
+        step leaves weights whose forward overflows there."""
+        cfg = small_config(epochs=1, train_blocks=2, validation_blocks=2 * RNN_TILE_ROWS,
+                           learning_rate=sys.float_info.max)
+        with pytest.raises(DivergenceError, match="epoch 1, step 1 "):
+            train("rnn", offset_channel, cfg, n=4, hidden=2)
