@@ -1,10 +1,12 @@
 """Command-line surface: data generation, training, analytic queries, evaluation,
 dynamic-threshold runs, sweeps, and recalibration sessions.
 
-Every flag except ``--config``, ``--out`` and ``--paper-scale`` sets one
-config key (``_FLAG_KEYS``) before the config is resolved.  ``main`` runs
-every command: resolve, create ``--out``, run, then echo the resolved config
-to ``<out>/config-resolved.json``, from which a rerun reproduces the run.
+The parser is the command line's one table.  Every flag except ``--config``,
+``--out`` and ``--paper-scale`` sets the config key that is its ``dest``
+before the config is resolved, and each subcommand's ``run`` default is its
+function.  ``main`` runs every command: resolve, create ``--out``, run, then
+echo the resolved config to ``<out>/config-resolved.json``, from which a rerun
+reproduces the run.
 A refused run removes the ``--out`` and the parents it created while they are empty.
 This module decides which files a command writes, through :func:`write_csv`
 and :func:`write_json`; datasets and weight files have writers of their own.
@@ -28,6 +30,7 @@ from pathlib import Path
 from . import analytic, harness
 from .channel import derive_seed, sample_block_matrix, save_dataset
 from .config import (
+    DEFAULT_CONFIG,
     channel_params,
     load_config,
     quantizer_spec,
@@ -87,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, out_required: bool = True):
-        p = sub.add_parser(name, help=help_text)
+    def add(run, help_text: str, out_required: bool = True):
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -96,34 +100,29 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use full published data budgets instead of desk scale")
         return p
 
-    add("gen", "generate a dataset file from the configured channel")
-    add("train", "train a detector network and write weights plus the validation curve")
-    a = add("analytic", "print reference thresholds and their BERs", out_required=False)
-    a.add_argument("--ratio", type=float, help="sigma0/mu0 variation level")
-    a.add_argument("--mu-b", type=float, help="offset mean in kOhm")
-    a.add_argument("--sigma-b-over-mu1", type=float, help="offset std relative to mu1")
-    a.add_argument("--mu0", type=float)
-    a.add_argument("--mu1", type=float)
-    add("eval", "Monte-Carlo evaluate detectors at one operating point")
-    d = add("dtd", "derive an adjusted threshold from detector outputs")
-    d.add_argument("--weights", help="weight file for the labeling network")
-    d.add_argument("--genie", action="store_true", help="use the true bits as labels")
-    s = add("sweep", "run a detector-by-operating-point BER sweep")
-    s.add_argument("--weights-mlp", help="weight file for the mlp rows")
-    s.add_argument("--weights-rnn", help="weight file for the rnn rows")
-    se = add("session", "simulate the threshold-with-recalibration deployment loop")
-    se.add_argument("--weights", help="weight file for the recalibration network")
-    se.add_argument("--genie", action="store_true", help="use the true bits as labels")
+    add(cmd_gen, "generate a dataset file from the configured channel")
+    add(cmd_train, "train a detector network and write weights plus the validation curve")
+    a = add(cmd_analytic, "print reference thresholds and their BERs", out_required=False)
+    a.add_argument("--ratio", dest="channel.ratio", type=float, help="sigma0/mu0 variation level")
+    a.add_argument("--mu-b", dest="channel.mu_b", type=float, help="offset mean in kOhm")
+    a.add_argument("--sigma-b-over-mu1", dest="channel.sigma_b_over_mu1", type=float,
+                   help="offset std relative to mu1")
+    a.add_argument("--mu0", dest="channel.mu0", type=float)
+    a.add_argument("--mu1", dest="channel.mu1", type=float)
+    add(cmd_eval, "Monte-Carlo evaluate detectors at one operating point")
+    d = add(cmd_dtd, "derive an adjusted threshold from detector outputs")
+    d.add_argument("--weights", dest="dtd.weights", help="weight file for the labeling network")
+    d.add_argument("--genie", dest="dtd.genie", action="store_true",
+                   help="use the true bits as labels")
+    s = add(cmd_sweep, "run a detector-by-operating-point BER sweep")
+    s.add_argument("--weights-mlp", dest="sweep.weights.mlp", help="weight file for the mlp rows")
+    s.add_argument("--weights-rnn", dest="sweep.weights.rnn", help="weight file for the rnn rows")
+    se = add(cmd_session, "simulate the threshold-with-recalibration deployment loop")
+    se.add_argument("--weights", dest="session.weights",
+                    help="weight file for the recalibration network")
+    se.add_argument("--genie", dest="session.genie", action="store_true",
+                    help="use the true bits as labels")
     return parser
-
-
-# The config key each flag sets; "{command}" is the running command's section.
-_FLAG_KEYS = {
-    "seed": "seed",
-    **{k: f"channel.{k}" for k in ("ratio", "mu_b", "sigma_b_over_mu1", "mu0", "mu1")},
-    "genie": "{command}.genie", "weights": "{command}.weights",
-    "weights_mlp": "sweep.weights.mlp", "weights_rnn": "sweep.weights.rnn",
-}
 
 
 def _resolved(args) -> dict:
@@ -132,11 +131,11 @@ def _resolved(args) -> dict:
     command = user.pop("command", args.command)
     if command != args.command:
         raise ConfigError(f"config was resolved for command {command!r}, not {args.command!r}")
-    for dest, key in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is None or value is False:  # flag not given
-            continue
-        *sections, leaf = key.format(command=command).split(".")
+    # A flag's dest is the config key it sets; other dests name no config section.
+    for key, value in vars(args).items():
+        if key.partition(".")[0] not in DEFAULT_CONFIG or value is None or value is False:
+            continue  # not a config key, or the flag not given
+        *sections, leaf = key.split(".")
         node = user
         for name in sections:
             node = node.setdefault(name, {}) if isinstance(node, dict) else None
@@ -145,8 +144,9 @@ def _resolved(args) -> dict:
     return resolve_config(user, paper_scale=args.paper_scale)
 
 
-def _network(key: str, path: str | None, unset: str, kind: str | None = None):
-    """The network in weight file ``path`` (config key ``key``), of ``kind`` unless None."""
+def _network(key: str, path: str | None, unset: str, n: int, kind: str | None = None):
+    """The network in weight file ``path`` (config key ``key``), of ``kind`` unless None,
+    that reads blocks of the run's length ``n``."""
     if path is None:
         raise MissingAssetError(unset)
     if not Path(path).is_file():
@@ -154,6 +154,9 @@ def _network(key: str, path: str | None, unset: str, kind: str | None = None):
     model = load_weights(Path(path))
     if kind is not None and model.kind != kind:
         raise FormatError(f"{key} is {path}, whose network is of kind {model.kind}, not {kind}")
+    if model.n not in (None, n):
+        raise FormatError(f"{key} is {path}, whose network reads blocks of {model.n} bits, "
+                          f"not the run's n = {n}")
     return model
 
 
@@ -163,7 +166,7 @@ def _labeler(cfg: dict, section: str):
     if sec["genie"]:
         return GenieDetector()
     return NnDetector(_network(f"{section}.weights", sec["weights"],
-                               f"{section} needs --genie or a --weights file"))
+                               f"{section} needs --genie or a --weights file", cfg["n"]))
 
 
 def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dict]:
@@ -188,7 +191,7 @@ def _sweep(cfg: dict, section: str, out: Path, channels: list[dict]) -> list[dic
         if kind in sec["weights"] and kind not in assets:
             key = f"{section}.weights.{kind}"
             assets[kind] = _network(key, sec["weights"][kind],
-                                    f"{key} is not set; the {name} row needs it", kind)
+                                    f"{key} is not set; the {name} row needs it", cfg["n"], kind)
     rows = harness.run_sweep(spec, assets=assets)
     write_csv(out / f"{section}.csv", SWEEP_COLUMNS, rows)
     return rows
@@ -276,17 +279,6 @@ def cmd_session(cfg: dict, out: Path) -> None:
           f"{log.nn_blocks_total} network blocks, final threshold {log.final_threshold:.6f}")
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "analytic": cmd_analytic,
-    "eval": cmd_eval,
-    "dtd": cmd_dtd,
-    "sweep": cmd_sweep,
-    "session": cmd_session,
-}
-
-
 # A refused run's exit code: the first entry naming its error's class (MemoryError: a bad size).
 _EXIT_CODES = ((EXIT_NUMERIC, (DivergenceError, NoRootError, ArithmeticError)),
                (EXIT_ASSET, (MissingAssetError, FormatError)),
@@ -305,7 +297,7 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {out} cannot be a directory: {exc}")
-        _COMMANDS[args.command](cfg, out)
+        args.run(cfg, out)
         if out is not None:
             echo_config(cfg, out, args.command)
         return EXIT_OK

@@ -257,7 +257,10 @@ class SegmentStats:
 class SessionLog:
     segments: list[SegmentStats]
     thresholds: list[tuple[int, float]] = field(default_factory=list)
-    final_threshold: float = math.nan
+
+    @property
+    def final_threshold(self) -> float:
+        return self.thresholds[-1][1]
 
     @property
     def nn_blocks_total(self) -> int:
@@ -346,5 +349,4 @@ def simulate_recalibration_session(
         log.thresholds.append((i, r_th))
         since_recal = 0
 
-    log.final_threshold = r_th
     return log

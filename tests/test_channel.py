@@ -425,6 +425,22 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="read in block 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty dataset file"),
+        ("nvmdtd-v2 2 1 0\n01\n1.0 2.0\n", "bad header"),
+        ("nvmdtd-v1 2 1\n01\n1.0 2.0\n", "bad header"),
+        ("nvmdtd-v1 2 1 0\n012\n1.0 2.0\n", "malformed bits line for block 0"),
+        ("nvmdtd-v1 2 1 0\n0x\n1.0 2.0\n", "malformed bits line for block 0"),
+        ("nvmdtd-v1 2 1 0\n01\n1.0\n", "block 0 has 1 reads, expected 2"),
+        ("nvmdtd-v1 2 1 0\n01\n1.0 2.0 3.0\n", "block 0 has 3 reads, expected 2"),
+    ], ids=["empty", "bad-magic", "short-header", "long-bits", "non-binary-bits",
+            "too-few-reads", "too-many-reads"])
+    def test_load_rejects_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_dataset(path)
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_bytes(b"nvmdtd-v1 2 1 0\n01\n1.0 \xff\n")

@@ -25,7 +25,7 @@ from nvmdtd.config import (
     resolve_config,
     train_config,
 )
-from nvmdtd.cli import _FLAG_KEYS, _build_parser, main
+from nvmdtd.cli import _build_parser, main
 from nvmdtd.errors import ConfigError
 from nvmdtd.nn.models import create_model
 from nvmdtd.nn.weights_io import read_weight_manifest, save_weights
@@ -126,6 +126,15 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("text", ["[]", "7", "null", '"seed"'])
+    def test_load_config_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+            load_config(path)
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be a JSON object\n"
+
     def test_readme_config_example_resolves(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
@@ -135,29 +144,36 @@ class TestResolveConfig:
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
+# The dests of the flags that set no config key.
+_NOT_CONFIG_DESTS = ("help", "config", "out", "paper_scale")
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's subparser, by command name."""
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestReadme:
     def test_flag_table_matches_flag_keys(self):
-        """Each row's flags, commands and keys are those of the parser and ``_FLAG_KEYS``."""
-        subparsers = next(a for a in _build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        dests = {command: {a.dest for a in parser._actions}
-                 for command, parser in subparsers.choices.items()}
+        """Each row's flags, commands and keys are those of the parser: a flag's key is its dest."""
+        keys = {command: {a.option_strings[0]: a.dest for a in parser._actions
+                          if a.dest not in _NOT_CONFIG_DESTS}
+                for command, parser in _subparsers().items()}
         table = re.search(r"\| flag \| commands \| config key \|\n\|[-|]+\|\n((?:\|.*\n)+)",
                           _README.read_text()).group(1)
-        seen = []
+        seen = set()
         for line in table.splitlines():
-            flags, commands, keys = line.strip("|").split("|")
-            flags = [f.replace("-", "_") for f in re.findall(r"`--([\w-]+)`", flags)]
-            commands = (list(dests) if commands.strip() == "all"
+            flags, commands, cell = line.strip("|").split("|")
+            flags = re.findall(r"`(--[\w-]+)`", flags)
+            commands = (list(keys) if commands.strip() == "all"
                         else re.findall(r"`(\w+)`", commands))
-            for dest in flags:
-                assert commands == [c for c in dests if dest in dests[c]], dest
-            expected = [_FLAG_KEYS[dest].format(command=c) for dest in flags for c in commands]
-            assert re.findall(r"`([\w.]+)`", keys) == list(dict.fromkeys(expected)), line
-            seen += flags
-        assert sorted(seen) == sorted(_FLAG_KEYS)
+            for flag in flags:
+                assert commands == [c for c in keys if flag in keys[c]], flag
+            expected = [keys[c][flag] for flag in flags for c in commands]
+            assert re.findall(r"`([\w.]+)`", cell) == list(dict.fromkeys(expected)), line
+            seen |= {(c, flag) for flag in flags for c in commands}
+        assert seen == {(c, flag) for c in keys for flag in keys[c]}
 
     def test_python_blocks_import_existing_names(self):
         blocks = re.findall(r"```python\n(.*?)```", _README.read_text(), re.S)
@@ -450,9 +466,9 @@ class TestCliTrain:
         assert main([other, "--config", str(echo), "--out", str(tmp_path / "x")]) == 2
 
     def test_every_flag_lands_in_the_echo(self, tmp_path, rnn_weights):
-        values = {"seed": "7", "ratio": "0.07", "mu_b": "-0.1", "sigma_b_over_mu1": "0.01",
-                  "mu0": "1.1", "mu1": "2.1", "weights": str(rnn_weights),
-                  "weights_mlp": str(rnn_weights), "weights_rnn": str(rnn_weights)}
+        values = {"--seed": "7", "--ratio": "0.07", "--mu-b": "-0.1", "--sigma-b-over-mu1": "0.01",
+                  "--mu0": "1.1", "--mu1": "2.1", "--weights": str(rnn_weights),
+                  "--weights-mlp": str(rnn_weights), "--weights-rnn": str(rnn_weights)}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "n": 8, "gen": {"blocks": 5},
@@ -463,28 +479,27 @@ class TestCliTrain:
             "session": {"total_blocks": 40, "m_blocks": 10,
                         "trigger": {"kind": "periodic", "period": 20}},
         }))
-        subparsers = next(a for a in _build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        for command, parser in subparsers.choices.items():
+        for command, parser in _subparsers().items():
             out = tmp_path / command
             argv, expected = [command, "--config", str(cfg), "--out", str(out)], {}
             for action in parser._actions:
-                if action.dest in ("help", "config", "out", "paper_scale"):
+                if action.dest in _NOT_CONFIG_DESTS:
                     continue
+                flag = action.option_strings[0]
                 if action.nargs == 0:
-                    argv.append(action.option_strings[0])
+                    argv.append(flag)
                     expected[action.dest] = True
                 else:
-                    argv += [action.option_strings[0], values[action.dest]]
-                    expected[action.dest] = action.type(values[action.dest]) \
-                        if action.type else values[action.dest]
+                    argv += [flag, values[flag]]
+                    expected[action.dest] = (action.type(values[flag]) if action.type
+                                             else values[flag])
             assert main(argv) == 0, argv
             echoed = json.loads((out / "config-resolved.json").read_text())
-            for dest, value in expected.items():
+            for key, value in expected.items():  # a flag's dest is the config key it sets
                 node = echoed
-                for part in _FLAG_KEYS[dest].format(command=command).split("."):
+                for part in key.split("."):
                     node = node[part]
-                assert node == value, (command, dest)
+                assert node == value, (command, key)
 
     @pytest.mark.parametrize("command, doc, key", [
         ("eval", {"channel": {"noise_model": "cauchy"}}, "channel.noise_model"),
@@ -867,6 +882,35 @@ class TestCliSweepSession:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
         assert capsys.readouterr().err == (
             f"error: {command}.weights.{key} is not set; the {row} row needs it\n")
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command, key, flag", [
+        ("eval", "eval.weights.mlp", None),
+        ("sweep", "sweep.weights.mlp", "--weights-mlp"),
+        ("dtd", "dtd.weights", "--weights"),
+        ("session", "session.weights", "--weights"),
+    ], ids=["eval", "sweep", "dtd", "session"])
+    def test_network_of_another_width_exits_4_before_any_block(
+            self, tmp_path, capsys, monkeypatch, command, key, flag):
+        """The stored MLP reads blocks of 71 bits; a run at n = 8 refuses it before drawing."""
+        def never(*args, **kwargs):
+            raise AssertionError("a block was drawn before the networks were loaded")
+
+        monkeypatch.setattr(harness, "sample_block_matrix", never)
+        stored = Path(__file__).resolve().parents[1] / "perfbench" / "weights"
+        mlp = str(stored / "weights-mlp.nvmw")
+        section = {"total_blocks": 40} if command == "session" else {"blocks": 5}
+        if command in ("eval", "sweep"):
+            section["detectors"] = ["midpoint", "dtd-mlp"]
+        if command == "eval":
+            section["weights"] = {"mlp": mlp}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, command: section}))
+        out = tmp_path / "a" / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)] + ([flag, mlp] if flag else [])
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: {key} is {mlp}, whose network reads blocks of 71 bits, not the run's n = 8\n")
         assert not (tmp_path / "a").exists()
 
     def test_eval_and_sweep_honour_mu0_mu1(self, tmp_path, capsys):

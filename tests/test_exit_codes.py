@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvmdtd import harness
 from nvmdtd.cli import main
 
 RANGE_MESSAGE = ("a channel needs -1e+50 <= mu0 < mu1 <= 1e+50, sigmas in [1e-50, 1e+50], "
@@ -160,7 +161,7 @@ _MANIFEST_BITS = 8 * (_RNN_BYTES.index(b"\ndata\n") + len(b"\ndata\n"))
 @st.composite
 def _damaged_weight_runs(draw):
     """The stored RNN's weight file, truncated or with one bit flipped, used by an
-    ``eval`` or ``sweep`` network row or by ``dtd --weights``."""
+    ``eval`` or ``sweep`` network row or by ``dtd`` or ``session --weights``."""
     if draw(st.booleans()):
         damaged = _RNN_BYTES[:draw(st.integers(0, len(_RNN_BYTES) - 1))]
     else:
@@ -168,10 +169,13 @@ def _damaged_weight_runs(draw):
                              st.integers(0, 8 * len(_RNN_BYTES) - 1)))
         damaged = bytearray(_RNN_BYTES)
         damaged[bit // 8] ^= 1 << bit % 8
-    command = draw(st.sampled_from(["eval", "sweep", "dtd"]))
+    command = draw(st.sampled_from(["eval", "sweep", "dtd", "session"]))
     doc = {"n": draw(st.integers(1, 8))}
     section = {"blocks": draw(st.integers(1, 8))}
-    if command != "dtd":
+    if command == "session":
+        section = {"total_blocks": draw(st.integers(1, 16)), "m_blocks": draw(st.integers(1, 8)),
+                   "trigger": {"kind": "periodic", "period": draw(st.integers(1, 8))}}
+    elif command != "dtd":
         section |= {"calib_blocks": draw(st.integers(1, 8)),
                     "detectors": draw(st.lists(st.sampled_from(["midpoint", "rnn", "dtd-rnn"]),
                                                min_size=1, max_size=3))}
@@ -187,10 +191,83 @@ def test_damaged_weight_file_ends_in_a_documented_exit_code(tmp_path_factory, ru
     weights = base / "damaged.nvmw"
     weights.write_bytes(damaged)
     flags = {"eval": [], "sweep": ["--weights-rnn", str(weights)],
-             "dtd": ["--weights", str(weights)]}[command]
+             "dtd": ["--weights", str(weights)], "session": ["--weights", str(weights)]}[command]
     if command == "eval":
         doc["eval"]["weights"] = {"rnn": str(weights)}
     assert _check_run(base, command, doc, flags) in (0, 4)
+
+
+_MLP = str(STORED / "weights-mlp.nvmw")  # an MLP that reads blocks of 71 bits
+
+
+@st.composite
+def _mlp_runs_of_another_width(draw):
+    """The stored MLP in an ``eval`` or ``sweep`` row, or as ``dtd``'s or ``session``'s
+    labeler, at a block length other than 71."""
+    command = draw(st.sampled_from(["eval", "sweep", "dtd", "session"]))
+    doc = {"n": draw(st.integers(1, 300).filter(lambda n: n != 71))}
+    flags = [] if command == "eval" else [
+        "--weights-mlp" if command == "sweep" else "--weights", _MLP]
+    if command == "session":
+        doc["session"] = {"total_blocks": draw(st.integers(1, 200))}
+        return command, doc, flags
+    doc[command] = {"blocks": draw(st.integers(1, 200))}
+    if command != "dtd":
+        rows = draw(st.lists(st.sampled_from(["midpoint", "opt-full", "genie"]), max_size=2))
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["mlp", "dtd-mlp"])))
+        doc[command] |= {"detectors": rows}
+    if command == "eval":
+        doc["eval"]["weights"] = {"mlp": _MLP}
+    return command, doc, flags
+
+
+# Every case is refused while its networks are loaded, before any block is drawn.
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(run=_mlp_runs_of_another_width())
+def test_network_of_another_width_exits_4(tmp_path_factory, run):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was drawn before the networks were loaded")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "sample_block_matrix", never)
+        assert _check_run(tmp_path_factory.getbasetemp(), *run) == 4
+
+
+# Sizes beyond the 128 TiB address space (2**47 bytes), up to beyond numpy's index range.
+_BEYOND = st.integers(2**48, 2**70)
+
+
+@st.composite
+def _runs_beyond_the_address_space(draw):
+    """A ``gen``, ``train`` or ``sweep`` run whose sizes are drawn from beyond the
+    address space for a nonempty set of the keys that size an array the run
+    allocates whole, and from 1 to 8 for the other keys.
+
+    ``sweep.blocks`` is not drawn: a sweep scores its blocks in chunks of 2048, so a
+    large count takes time, not memory.
+    """
+    command = draw(st.sampled_from(["gen", "train", "sweep"]))
+    keys = {"gen": ["n", "blocks"], "train": ["n", "train_blocks", "validation_blocks", "hidden"],
+            "sweep": ["n", "calib_blocks"]}[command]
+    huge = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    sizes = {key: draw(_BEYOND if key in huge else st.integers(1, 8)) for key in keys}
+    doc = {"n": sizes.pop("n"), command: sizes}
+    flags = []
+    if command == "train":
+        doc["train"] |= {"kind": draw(st.sampled_from(["mlp", "rnn"])), "epochs": 1}
+    elif command == "sweep":
+        # The dtd-rnn row samples its calibration blocks whole, before any block is scored.
+        doc["sweep"] |= {"ratios": [0.1], "blocks": 8, "detectors": ["midpoint", "dtd-rnn"]}
+        flags = ["--weights-rnn", str(STORED / "weights-rnn.nvmw")]
+    return command, doc, flags
+
+
+# Each case fails at its first allocation, which the kernel refuses without touching a
+# page, or before it, where a size is beyond numpy's index range.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(run=_runs_beyond_the_address_space())
+def test_sizes_beyond_the_address_space_exit_2(tmp_path_factory, run):
+    assert _check_run(tmp_path_factory.getbasetemp(), *run) == 2
 
 
 # Finite channel values whose float arithmetic would overflow or divide by an

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -58,11 +59,13 @@ def test_outputs_match_golden_digests_on_one_cpu():
 
 def test_golden_table_covers_every_command():
     golden = _load_golden()
-    from nvmdtd.cli import _COMMANDS
+    from nvmdtd.cli import _build_parser
 
     table = json.loads(golden.GOLDEN.read_text())
     assert set(table) == set(golden.CASES)
-    assert {command for command, _, _ in golden.CASES.values()} == set(_COMMANDS)
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {command for command, _, _ in golden.CASES.values()} == set(subparsers.choices)
     for name, digests in table.items():
         assert golden.STDOUT_KEY in digests and "config-resolved.json" in digests, name
 

@@ -395,7 +395,6 @@ def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=
         log.thresholds.append((i, r_th))
         since_recal = 0
 
-    log.final_threshold = r_th
     return log
 
 

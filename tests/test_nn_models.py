@@ -94,6 +94,13 @@ class TestForward:
         with pytest.raises(ParameterError):
             model.forward(np.zeros(6))
 
+    @pytest.mark.parametrize("kind", ["mlp", "rnn"])
+    def test_forward_refuses_a_3d_input(self, kind):
+        model = create_model(kind, 5, np.random.default_rng(0), hidden=3)
+        with pytest.raises(ParameterError,
+                           match=r"expected a read vector or batch, got shape \(2, 5, 1\)"):
+            model.forward(np.zeros((2, 5, 1)))
+
 
 class TestMseLoss:
     """The loss ``value_and_grad`` returns: mean squared error over the batch."""

@@ -45,3 +45,11 @@ def test_rejects_mismatched_blocks():
     state = AdamState.for_params(params)
     with pytest.raises(ParameterError):
         adam_step(params, {"v": np.zeros(2)}, state)
+
+
+def test_rejects_gradient_of_another_shape():
+    params = {"w": np.zeros(2)}
+    state = AdamState.for_params(params)
+    with pytest.raises(ParameterError, match=r"gradient shape \(3,\) != param shape \(2,\) for w"):
+        adam_step(params, {"w": np.zeros(3)}, state)
+    np.testing.assert_array_equal(params["w"], np.zeros(2))

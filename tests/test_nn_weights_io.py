@@ -152,10 +152,11 @@ def _declare_hidden_1e10(raw: bytes) -> bytes:
     ("mlp", lambda raw: raw.replace(b"\nn 6\n", b"\nn 0\n", 1)),
     ("rnn", lambda raw: raw.replace(b"block gru1.u_z 5 5", b"block gru1.u_z 3 3", 1)),
     ("rnn", _declare_hidden_1e10),
+    ("mlp", lambda raw: raw.replace(b"\nseed none\n", b"\n", 1)),
 ], indirect=["small_model"], ids=["blank-line", "n-not-int", "hidden-no-value", "unknown-kind",
                                   "dim-not-int", "block-no-name", "absurd-hidden", "nan-gru",
                                   "nan-dense", "hidden-zero", "mlp-n-zero", "gru-block-shape",
-                                  "declared-hidden-1e10"])
+                                  "declared-hidden-1e10", "no-seed-line"])
 def test_malformed_weight_file_exits_4(tmp_path, small_model, corrupt):
     path = tmp_path / "m.nvmw"
     save_weights(small_model, path, n=6)
