@@ -22,7 +22,6 @@ from .channel import (
     beta_alpha_for_sigma,
     derive_sigmas,
     derive_seed,
-    load_dataset,
     quantize,
     sample_block_matrix,
     save_dataset,

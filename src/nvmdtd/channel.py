@@ -7,7 +7,7 @@ detector.  All resistances are in kilo-ohms.
 
 Blocks are produced one way, as a pair of matrices ``(bits, reads)`` with
 one row per block (:func:`sample_block_matrix`), and datasets are written
-and read in that form.  Blocks are grouped in fixed super-blocks of
+from that form (:func:`save_dataset`); the package reads none back.  Blocks are grouped in fixed super-blocks of
 ``SUPERBLOCK = 64``: block ``i`` is row ``i % 64`` of super-block
 ``i // 64``, and each super-block is drawn whole from its own random stream
 derived from ``(master seed, super-block index)``
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, channel_text, require_indexable
+from .errors import ParameterError, channel_text, require_indexable
 
 # The accepted channel values, in kOhm: inside them a standardized read (r - mu) / sigma
 # stays below about 1e102 and sigma^2 above 1e-100, so the math and the reads stay finite.
@@ -302,48 +302,3 @@ def save_dataset(path, x, y, params: ChannelParams) -> None:
         lines.append(" ".join(f"{v:.9g}" for v in reads))
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_dataset(path, params: ChannelParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dataset file back as ``(bits, reads)`` matrices.
-
-    A malformed file (a missing or non-finite read included) or a params hash
-    mismatch raises :class:`FormatError`.
-    """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}")
-    if not lines:
-        raise FormatError(f"{path}: empty dataset file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    try:
-        n, nblocks = int(header[1]), int(header[2])
-    except ValueError:
-        raise FormatError(f"{path}: non-integer block length or count in {lines[0]!r}")
-    if params is not None and header[3] != params.content_hash():
-        raise FormatError(
-            f"{path}: dataset was generated under different channel parameters"
-        )
-    if len(lines) != 1 + 2 * nblocks:
-        raise FormatError(
-            f"{path}: expected {1 + 2 * nblocks} lines for {nblocks} blocks, got {len(lines)}"
-        )
-    x, y = [], []
-    for i in range(nblocks):
-        bits_line = lines[1 + 2 * i]
-        reads = lines[2 + 2 * i].split()
-        if len(bits_line) != n or any(c not in "01" for c in bits_line):
-            raise FormatError(f"{path}: malformed bits line for block {i}")
-        if len(reads) != n:
-            raise FormatError(f"{path}: block {i} has {len(reads)} reads, expected {n}")
-        try:
-            row = np.array([float(tok) for tok in reads], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric read in block {i}")
-        if not np.all(np.isfinite(row)):
-            raise FormatError(f"{path}: non-finite read in block {i}")
-        x.append(np.frombuffer(bits_line.encode(), dtype=np.uint8) - ord("0"))
-        y.append(row)
-    return np.array(x, dtype=np.uint8), np.array(y)

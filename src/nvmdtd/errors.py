@@ -31,7 +31,7 @@ class DivergenceError(NvmdtdError):
 
 
 class FormatError(NvmdtdError):
-    """A weight or dataset file is malformed, truncated, or version-mismatched."""
+    """A weight file is malformed, truncated or version-mismatched, or holds a network the run cannot use."""
 
 
 class ConfigError(NvmdtdError):

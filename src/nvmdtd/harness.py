@@ -5,13 +5,15 @@ is row ``i % 64`` of a super-block drawn from its own random stream keyed
 by ``(seed, i // 64)``, so results do not depend on the chunk size.  A
 sweep evaluates the operating points it is given, one Monte-Carlo pass
 per point: each chunk of evaluation blocks is sampled once and scored by
-every simulated detector of that point, and the point's DTD rows share one sample of calibration
-blocks, so the rows of a point are a paired comparison on the same
-blocks.  A recalibration session samples
-its whole schedule once, one matrix per segment, and labels each
-recalibration window with one call of the network.  A sweep row is a
-dict: its point's labels, then ``detector``, ``r_th``, ``errors``,
-``bits``, ``ber`` and ``ci``.  The module returns records and writes no file.
+every simulated detector of that point, and the point's DTD rows share one
+sample of calibration blocks, so the rows of a point are a paired
+comparison on the same blocks.  A recalibration session is one forward
+scan that draws each super-block when it reaches it, scores the runs of
+blocks between triggers at once, and labels each recalibration window
+with one call of the network.  A pass of more than ``MAX_PASS_READS``
+reads is refused before it draws a block.  A sweep row is a dict: its
+point's labels, then ``detector``, ``r_th``, ``errors``, ``bits``, ``ber``
+and ``ci``.  The module returns records and writes no file.
 
 The reference thresholds come from :func:`analytic.reference_thresholds`:
 ``opt-full`` is the exact optimum under the channel's own variation law,
@@ -22,6 +24,7 @@ at points that have an ``opt-*`` or ``optimum-bound`` row.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .channel import ChannelParams, QuantizerSpec, derive_seed, sample_block_matrix
+from .channel import SUPERBLOCK, ChannelParams, QuantizerSpec, derive_seed, sample_block_matrix
 from .detectors import DtdResult, GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from .errors import MissingAssetError, ParameterError
 
@@ -37,6 +40,16 @@ from .errors import MissingAssetError, ParameterError
 DETECTORS = ("midpoint", "opt-no-offset", "opt-mean-offset", "opt-full", "optimum-bound",
              "genie", "mlp", "rnn", "dtd-mlp", "dtd-rnn")
 TRIGGER_KINDS = ("periodic", "on_failure")
+# The most reads (blocks x n) one streamed Monte-Carlo pass may make.  Sampling alone
+# costs about 57 ns a read on one core of a 2-vCPU x86-64 host, so 10**12 reads would
+# run for about 16 hours; a count above it is refused before any block is drawn.
+MAX_PASS_READS = 10**12
+
+
+def _check_pass_reads(what: str, blocks: int, n: int) -> None:
+    if blocks * n > MAX_PASS_READS:
+        raise ParameterError(f"{what} of {blocks} blocks of {n} bits makes {blocks * n} reads, "
+                             f"more than the {MAX_PASS_READS} one streamed pass may make")
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,7 @@ def estimate_ber_paired(detectors, params: ChannelParams, nblocks: int, seed: in
     """
     if nblocks < 1:
         raise ParameterError(f"need at least one block, got {nblocks}")
+    _check_pass_reads("an evaluation pass", nblocks, n)
     errors = [0] * len(detectors)
     for start in range(0, nblocks, chunk_blocks):
         x, y = sample_block_matrix(params, n, min(chunk_blocks, nblocks - start), seed,
@@ -113,6 +127,7 @@ class SweepSpec:
             raise ParameterError("sweep points and detector list must be non-empty")
         if self.blocks_per_point < 1 or self.calib_blocks < 1:
             raise ParameterError("block counts must be >= 1")
+        _check_pass_reads("an evaluation pass", self.blocks_per_point, self.n)
 
 
 def run_sweep(spec: SweepSpec, assets: dict | None = None) -> list[dict]:
@@ -271,82 +286,77 @@ class SessionLog:
         return sum(s.triggers for s in self.segments)
 
 
-def simulate_recalibration_session(
-    schedule: DriftSchedule,
-    detector,
-    seed: int,
-    m_blocks: int = 100,
-    initial_threshold: float | None = None,
-    n: int = 71,
-) -> SessionLog:
+def simulate_recalibration_session(schedule: DriftSchedule, detector, seed: int, m_blocks: int = 100,
+                                   initial_threshold: float | None = None, n: int = 71) -> SessionLog:
     """Replay the deployment loop: cheap threshold detection, NN only on triggers.
 
-    Blocks stream one at a time under the scheduled channel; each is
-    detected with the current threshold.  When the trigger policy fires,
-    the next ``m_blocks`` blocks are read by ``detector`` (the expensive
-    path) in one call, the dynamic threshold search runs over those reads
-    and labels, and the resulting threshold replaces the current one.  The
-    log records per-segment BER before/after recalibration and how many
-    blocks ever touched the network.
+    Blocks stream under the scheduled channel, each detected with the current
+    threshold.  When the trigger policy fires, the next ``m_blocks`` blocks are
+    read by ``detector`` (the expensive path) in one call, the dynamic threshold
+    search runs over those reads and labels, and its threshold replaces the
+    current one.  The log records per-segment BER before/after recalibration
+    and how many blocks ever touched the network.
 
-    The whole schedule is sampled up front, one matrix per segment, so the
-    session holds ``total_blocks * n * 9`` bytes (reads and bits; 1.3 MB at
-    2000 blocks of 71).  Block ``i`` is the one a block-by-block replay
-    draws, since it is always row ``i % 64`` of the super-block drawn from
-    the ``(seed, i // 64)`` stream, whatever the segment bounds.
+    The session is one forward scan.  Each super-block is drawn when the scan
+    reaches it, once per segment it overlaps, and block ``i`` is its row
+    ``i % 64``, as in a block-by-block replay.  A run of blocks is scored at once
+    under the current threshold; it ends at the end of its super-block or its
+    segment, or at the first block that fires the trigger.  So the session holds
+    one super-block and one recalibration window, whatever ``total_blocks``.
     """
     if m_blocks < 1:
         raise ParameterError(f"session m_blocks must be >= 1, got {m_blocks}")
+    _check_pass_reads("a session", schedule.total_blocks, n)
     bounds = [s for s, _ in schedule.segments] + [schedule.total_blocks]
-    samples = [sample_block_matrix(params, n, end - start, seed, start=start)
-               for (start, params), end in zip(schedule.segments, bounds[1:])]
-    x = np.concatenate([xs for xs, _ in samples])
-    y = np.concatenate([ys for _, ys in samples])
-    seg_of = np.repeat(np.arange(len(samples)), np.diff(bounds))
+    trigger = schedule.trigger
 
-    first_params = schedule.segments[0][1]
-    r_th = (
-        0.5 * (first_params.mu0 + first_params.mu1)
-        if initial_threshold is None
-        else initial_threshold
-    )
+    @functools.lru_cache(maxsize=1)  # the scan never returns to a super-block it has left
+    def superblock(seg: int, k: int):
+        return sample_block_matrix(schedule.segments[seg][1], n, SUPERBLOCK, seed,
+                                   start=k * SUPERBLOCK)
+
+    def blocks(start: int, stop: int):
+        """Blocks ``start .. stop-1`` as (bits, reads), each drawn under its segment."""
+        parts = []
+        while start < stop:
+            seg = bisect.bisect_right(bounds, start) - 1
+            k, row = divmod(start, SUPERBLOCK)
+            take = min(stop, bounds[seg + 1], (k + 1) * SUPERBLOCK) - start
+            parts.append(tuple(m[row:row + take] for m in superblock(seg, k)))
+            start += take
+        return tuple(np.concatenate(ms) for ms in zip(*parts))
+
+    first = schedule.segments[0][1]
+    r_th = 0.5 * (first.mu0 + first.mu1) if initial_threshold is None else initial_threshold
     stats = [SegmentStats(segment=i, start_block=s) for i, s in enumerate(bounds[:-1])]
     log = SessionLog(segments=stats, thresholds=[(0, r_th)])
-    recalibrated_in = [False] * len(stats)
-    since_recal = 0
-
-    i = 0
+    i = since_recal = 0
     while i < schedule.total_blocks:
-        seg_idx = seg_of[i]
-        seg = stats[seg_idx]
-        block_errors = int(np.count_nonzero(threshold_detect(y[i], r_th) != x[i]))
-        i += 1
-        since_recal += 1
-        if recalibrated_in[seg_idx]:
-            seg.errors_post += block_errors
-            seg.bits_post += n
+        seg = stats[bisect.bisect_right(bounds, i) - 1]
+        stop = min(bounds[seg.segment + 1], (i // SUPERBLOCK + 1) * SUPERBLOCK)
+        x, y = blocks(i, stop)
+        block_errors = np.count_nonzero(threshold_detect(y, r_th) != x, axis=1)
+        fires = (since_recal + np.arange(1, stop - i + 1) >= trigger.period
+                 if trigger.kind == "periodic" else block_errors / n >= trigger.threshold)
+        fire = bool(fires.any())
+        stop = i + int(fires.argmax()) + 1 if fire else stop
+        errors, bits = int(block_errors[:stop - i].sum()), (stop - i) * n
+        if log.thresholds[-1][0] > seg.start_block:  # a recalibration ended inside the segment
+            seg.errors_post += errors
+            seg.bits_post += bits
         else:
-            seg.errors_pre += block_errors
-            seg.bits_pre += n
-
-        fire = (
-            since_recal >= schedule.trigger.period
-            if schedule.trigger.kind == "periodic"
-            else block_errors / n >= schedule.trigger.threshold
-        )
-        if not fire:
-            continue
-        window = slice(i, min(i + m_blocks, schedule.total_blocks))
-        if window.start == window.stop:
-            break
+            seg.errors_pre += errors
+            seg.bits_pre += bits
+        since_recal += stop - i
+        i = stop
+        if not fire or i == schedule.total_blocks:
+            continue  # a trigger on the last block finds no window to read
+        end = min(i + m_blocks, schedule.total_blocks)
         seg.triggers += 1
-        for seg_j, count in zip(*np.unique(seg_of[window], return_counts=True)):
-            stats[seg_j].nn_blocks += int(count)
-        labels = np.asarray(detector(y[window], x[window]), dtype=np.uint8)
-        r_th = dtd_search(y[window], labels).r_adj
-        i = window.stop
-        recalibrated_in[seg_of[i - 1]] = True
-        log.thresholds.append((i, r_th))
-        since_recal = 0
-
+        for s in stats:
+            s.nn_blocks += max(0, min(end, bounds[s.segment + 1]) - max(i, s.start_block))
+        x, y = blocks(i, end)
+        r_th = dtd_search(y, np.asarray(detector(y, x), dtype=np.uint8)).r_adj
+        log.thresholds.append((end, r_th))
+        i, since_recal = end, 0
     return log

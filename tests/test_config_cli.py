@@ -16,7 +16,7 @@ import pytest
 import nvmdtd
 from nvmdtd import harness
 from nvmdtd.analytic import optimal_threshold_bisection
-from nvmdtd.channel import NoiseModel, load_dataset
+from nvmdtd.channel import NoiseModel, sample_block_matrix, save_dataset
 from nvmdtd.config import (
     DEFAULT_CONFIG,
     channel_params,
@@ -304,7 +304,6 @@ class TestCliTrain:
         (["train"], {"n": 8, "train": {"kind": "mlp", "hidden": 10 ** 15, "epochs": 1,
                                        "train_blocks": 4, "validation_blocks": 4}}),
         (["gen"], {"gen": {"blocks": 10 ** 15}}),
-        (["session", "--genie"], {"session": {"total_blocks": 10 ** 15}}),
     ]
     # Each of these has a dimension or a byte count beyond numpy's signed
     # index range, so it is refused before any allocation.
@@ -317,7 +316,6 @@ class TestCliTrain:
         (["train"], {"n": 8, "train": {"kind": "rnn", "hidden": 10 ** 20, "epochs": 1,
                                        "train_blocks": 4, "validation_blocks": 4}}),
         (["dtd", "--genie"], {"dtd": {"blocks": 10 ** 20}}),
-        (["session", "--genie"], {"session": {"total_blocks": 10 ** 20}}),
     ]
 
     @pytest.mark.parametrize("argv, doc", _BEYOND_MEMORY + _BEYOND_INDEX_RANGE)
@@ -331,6 +329,28 @@ class TestCliTrain:
             assert "error: Unable to allocate" in err
         else:
             assert "is beyond numpy's index range" in err
+
+    # Each of these streams its blocks, so it allocates little, and would run for
+    # far longer than any test: more reads than one streamed pass may make.
+    _BEYOND_PASS_BOUND = [
+        (["eval"], {"n": 8, "eval": {"blocks": 10 ** 15, "detectors": ["midpoint"]}},
+         "an evaluation pass of 1000000000000000 blocks of 8 bits makes 8000000000000000 reads"),
+        (["sweep"], {"n": 8, "sweep": {"blocks": 10 ** 15, "detectors": ["midpoint"]}},
+         "an evaluation pass of 1000000000000000 blocks of 8 bits makes 8000000000000000 reads"),
+        (["session", "--genie"], {"session": {"total_blocks": 10 ** 15}},
+         "a session of 1000000000000000 blocks of 71 bits makes 71000000000000000 reads"),
+        (["session", "--genie"], {"session": {"total_blocks": 10 ** 20}},
+         "a session of 100000000000000000000 blocks of 71 bits makes 7100000000000000000000 reads"),
+    ]
+
+    @pytest.mark.parametrize("argv, doc, count", _BEYOND_PASS_BOUND)
+    def test_pass_beyond_the_read_bound_exits_2(self, tmp_path, capsys, argv, doc, count):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {count}, more than the 1000000000000 one streamed pass may make\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["gen", "eval"])
     @pytest.mark.parametrize("quantizer, message", [
@@ -688,13 +708,16 @@ class TestCliAnalytic:
 
 
 class TestCliGenEvalDtd:
-    def test_gen_dataset_loadable(self, tmp_path):
+    def test_gen_writes_the_sampled_blocks(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 9, "gen": {"blocks": 7}}))
         out = tmp_path / "data"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
-        x, y = load_dataset(out / "dataset.txt")
-        assert x.shape == y.shape == (7, 9)
+        resolved = resolve_config({})
+        params = channel_params(resolved["channel"])
+        save_dataset(tmp_path / "expected.txt",
+                     *sample_block_matrix(params, 9, 7, resolved["seed"]), params)
+        assert (out / "dataset.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
     def test_eval_csv(self, tmp_path):
         cfg = tmp_path / "c.json"

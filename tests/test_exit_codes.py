@@ -243,8 +243,8 @@ def _runs_beyond_the_address_space(draw):
     address space for a nonempty set of the keys that size an array the run
     allocates whole, and from 1 to 8 for the other keys.
 
-    ``sweep.blocks`` is not drawn: a sweep scores its blocks in chunks of 2048, so a
-    large count takes time, not memory.
+    ``sweep.blocks`` is not drawn: a sweep streams its blocks, so a large count is
+    refused by the read bound of one pass (the next slice), as is a sweep of a huge ``n``.
     """
     command = draw(st.sampled_from(["gen", "train", "sweep"]))
     keys = {"gen": ["n", "blocks"], "train": ["n", "train_blocks", "validation_blocks", "hidden"],
@@ -268,6 +268,49 @@ def _runs_beyond_the_address_space(draw):
 @given(run=_runs_beyond_the_address_space())
 def test_sizes_beyond_the_address_space_exit_2(tmp_path_factory, run):
     assert _check_run(tmp_path_factory.getbasetemp(), *run) == 2
+
+
+@st.composite
+def _passes_beyond_the_read_bound(draw):
+    """An ``eval``, ``sweep`` or ``session`` whose one streamed pass would make more
+    reads than ``harness.MAX_PASS_READS``: more blocks than the bound allows at its
+    ``n``, or any count at an ``n`` above the bound.  Every other value is in range."""
+    command = draw(st.sampled_from(["eval", "sweep", "session"]))
+    bound = harness.MAX_PASS_READS
+    n = draw(st.one_of(st.integers(1, 300), st.integers(bound + 1, 2**70)))
+    blocks = draw(st.integers(bound // n + 1, 2**70))
+    if command == "session":
+        trigger = draw(st.one_of(
+            st.fixed_dictionaries({"kind": st.just("periodic"), "period": st.integers(1, 200)}),
+            st.fixed_dictionaries({"kind": st.just("on_failure"),
+                                   "threshold": st.floats(0.01, 1.0)})))
+        section = {"total_blocks": blocks, "m_blocks": draw(st.integers(1, 8)), "trigger": trigger}
+        return command, {"n": n, "session": section}, ["--genie"]
+    detectors = draw(st.lists(st.sampled_from(["midpoint", "opt-full", "genie"]), min_size=1,
+                              max_size=3))
+    return command, {"n": n, command: {"blocks": blocks, "detectors": detectors}}, []
+
+
+# Each case would run for hours rather than fail to allocate.  It is refused before
+# any block is drawn, with one line that names its reads and the bound.
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(run=_passes_beyond_the_read_bound())
+def test_passes_beyond_the_read_bound_exit_2(tmp_path_factory, run):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was drawn before the read bound was checked")
+
+    command, doc, flags = run
+    base = tmp_path_factory.getbasetemp()
+    cfg, out = base / "bound.json", base / "bound-out"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(harness, "sample_block_matrix", never)
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert lines[0].endswith(f"more than the {harness.MAX_PASS_READS} one streamed pass may make")
+    assert not out.exists()
 
 
 # Finite channel values whose float arithmetic would overflow or divide by an

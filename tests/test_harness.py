@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,49 @@ def test_sweep_and_training_write_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+class _Drawn(Exception):
+    """Raised in place of the first block a pass draws."""
+
+
+def _first_draw(*args, **kwargs):
+    raise _Drawn
+
+
+# Each streamed pass as a call of (blocks, n).  A sweep's bound is checked when
+# its spec is built; ``run_sweep`` then draws the point's evaluation blocks.
+_PASSES = {
+    "estimate_ber": lambda blocks, n: estimate_ber(
+        ThresholdDetector(1.5), _P0, blocks, seed=1, n=n),
+    "estimate_ber_paired": lambda blocks, n: estimate_ber_paired(
+        [ThresholdDetector(1.5), GenieDetector()], _P0, blocks, seed=1, n=n),
+    "session": lambda blocks, n: simulate_recalibration_session(
+        DriftSchedule(segments=((0, _P0),), total_blocks=blocks,
+                      trigger=TriggerPolicy(kind="periodic", period=10)),
+        GenieDetector(), seed=1, m_blocks=5, n=n),
+    "sweep": lambda blocks, n: run_sweep(SweepSpec(
+        points=_points((0.1,)), detectors=("midpoint",), blocks_per_point=blocks, seed=1, n=n)),
+}
+
+
+class TestReadBound:
+    @pytest.mark.parametrize("name", list(_PASSES))
+    def test_one_read_beyond_the_bound_is_refused(self, monkeypatch, name):
+        monkeypatch.setattr(harness, "sample_block_matrix", _first_draw)
+        blocks = harness.MAX_PASS_READS // 8 + 1
+        with pytest.raises(ParameterError) as info:
+            _PASSES[name](blocks, 8)
+        assert str(info.value).endswith(
+            f"of {blocks} blocks of 8 bits makes {blocks * 8} reads, "
+            f"more than the {harness.MAX_PASS_READS} one streamed pass may make")
+
+    @pytest.mark.parametrize("name", ["estimate_ber", "session", "sweep"])
+    def test_a_pass_of_exactly_the_bound_starts_drawing(self, monkeypatch, name):
+        monkeypatch.setattr(harness, "sample_block_matrix", _first_draw)
+        assert (harness.MAX_PASS_READS // 8) * 8 == harness.MAX_PASS_READS
+        with pytest.raises(_Drawn):
+            _PASSES[name](harness.MAX_PASS_READS // 8, 8)
+
+
 def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=None, n=71):
     """The recalibration loop drawn and labeled one block at a time.
 
@@ -411,6 +455,8 @@ class RecordingGenie(GenieDetector):
 
 _P0 = ChannelParams.from_ratio(0.10)
 _P_DRIFT = ChannelParams.from_ratio(0.10, mu_b=-0.35, sigma_b_over_mu1=0.04)
+_P_BETA = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.03,
+                                   noise_model=NoiseModel.CENTERED_BETA)
 
 
 class TestSchedule:
@@ -457,6 +503,13 @@ class TestSession:
         (((0, _P0),), 25, TriggerPolicy(kind="periodic", period=10), 5),
         # the session ends inside the second recalibration window
         (((0, _P0), (15, _P_DRIFT)), 28, TriggerPolicy(kind="periodic", period=10), 5),
+        # a window of over two super-blocks (100..240) crosses the segment start 150
+        (((0, _P0), (150, _P_DRIFT)), 600, TriggerPolicy(kind="periodic", period=100), 140),
+        # a centered-Beta segment between two Gaussian ones
+        (((0, _P0), (70, _P_BETA), (200, _P_DRIFT)), 300,
+         TriggerPolicy(kind="periodic", period=40), 12),
+        # every threshold-detected block fires the trigger
+        (((0, _P0), (33, _P_DRIFT)), 90, TriggerPolicy(kind="periodic", period=1), 3),
     ])
     def test_matches_block_by_block_loop(self, segments, total, trigger, m_blocks):
         sched = DriftSchedule(segments=segments, total_blocks=total, trigger=trigger)
@@ -467,6 +520,43 @@ class TestSession:
         # one network call per recalibration, never one per block
         assert len(det.calls) == log.triggers_total == len(log.thresholds) - 1
         assert sum(len(y) for y, _ in det.calls) == log.nn_blocks_total
+
+    def test_set_initial_threshold_matches_block_by_block_loop(self):
+        # on-failure triggers from a threshold far below the midpoint
+        sched = DriftSchedule(segments=((0, _P0), (130, _P_DRIFT)), total_blocks=400,
+                              trigger=TriggerPolicy(kind="on_failure", threshold=2.0 / 16.0))
+        log = simulate_recalibration_session(sched, GenieDetector(), seed=3, m_blocks=30,
+                                             initial_threshold=1.3, n=16)
+        assert log == reference_session(sched, GenieDetector(), 3, 30, initial_threshold=1.3, n=16)
+        assert log.thresholds[0] == (0, 1.3) and log.triggers_total >= 2
+
+    def test_draws_each_superblock_once_per_segment(self, monkeypatch):
+        drawn = []
+
+        def recording(params, n, nblocks, seed, start=0):
+            drawn.append((params, start, nblocks))
+            return sample_block_matrix(params, n, nblocks, seed, start=start)
+
+        monkeypatch.setattr(harness, "sample_block_matrix", recording)
+        sched = DriftSchedule(segments=((0, _P0), (70, _P_BETA), (200, _P_DRIFT)), total_blocks=300,
+                              trigger=TriggerPolicy(kind="periodic", period=30))
+        log = simulate_recalibration_session(sched, GenieDetector(), seed=6, m_blocks=140, n=8)
+        assert log.thresholds[1][0] == 170  # the window 30..169 spans three super-blocks
+        assert drawn == [(_P0, 0, 64), (_P0, 64, 64), (_P_BETA, 64, 64), (_P_BETA, 128, 64),
+                         (_P_BETA, 192, 64), (_P_DRIFT, 192, 64), (_P_DRIFT, 256, 64)]
+
+    def test_memory_does_not_grow_with_the_schedule(self):
+        # Sampling the schedule whole would hold at least 20000 x 71 x 9 bytes, 12.8 MB.
+        sched = DriftSchedule(segments=((0, _P0), (7001, _P_DRIFT)), total_blocks=20000,
+                              trigger=TriggerPolicy(kind="periodic", period=500))
+        tracemalloc.start()
+        try:
+            log = simulate_recalibration_session(sched, GenieDetector(), seed=4, m_blocks=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.triggers_total > 30
+        assert peak < 5e6, f"a 20000-block session peaked at {peak / 1e6:.1f} MB"
 
     def test_offset_jump_recovers_optimum(self):
         # Segment boundary aligned to full trigger cycles (300 threshold
