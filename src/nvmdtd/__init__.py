@@ -53,7 +53,6 @@ from .nn import (
     RnnModel,
     TrainConfig,
     TrainResult,
-    count_params,
     load_weights,
     save_weights,
     train,

@@ -236,10 +236,10 @@ def sample_block_matrix(
     ``superblock_stream(seed, i // 64)`` alone, so any contiguous slice of a
     dataset can be produced independently.  A super-block draws, in this
     order and each as a (64, n) array: its bits (``integers(0, 2, (64, n),
-    uint8)``); then the variation and the offset (``standard_normal`` each)
-    for a Gaussian channel, or for centered-Beta one ``beta(a, 1.2 * a)``
-    with per-read shapes ``a = where(bit, a1, a0)`` and the offset
-    (``standard_normal``).  The reads are formed on those arrays.  Both
+    uint8)``); then the variation (``standard_normal``) for a Gaussian
+    channel, or for centered-Beta one ``beta(a, 1.2 * a)`` with per-read
+    shapes ``a = where(bit, a1, a0)``; then, only when ``offset_sigma_b > 0``,
+    the offset (``standard_normal``).  The reads are formed on those arrays.  Both
     outputs are allocated before anything is drawn, then the covered rows of
     each super-block are copied in; a call draws at most 63 blocks it does
     not return at each end of its range.
@@ -271,7 +271,9 @@ def sample_block_matrix(
             a = np.where(one, a1, a0)
             noise = rng.beta(a, BETA_SHAPE_RATIO * a)
             noise -= BETA_MEAN
-        offset = params.offset_mu_b + params.offset_sigma_b * rng.standard_normal(shape)
+        offset = params.offset_mu_b
+        if params.offset_sigma_b:  # the last draw, so skipping it moves no other value
+            offset = offset + params.offset_sigma_b * rng.standard_normal(shape)
         reads = np.where(one, params.mu1, params.mu0) + noise + np.where(one, offset, 0.0)
         x[done:done + take] = bits[row:row + take]
         y[done:done + take] = reads[row:row + take]

@@ -73,7 +73,7 @@ class BerEstimate:
 
 
 def estimate_ber(detector, params: ChannelParams, nblocks: int, seed: int,
-                 n: int = 71, chunk_blocks: int = 2048) -> BerEstimate:
+                 n: int, chunk_blocks: int = 2048) -> BerEstimate:
     """Stream blocks through a detector and count bit errors against the truth.
 
     ``detector`` is called as ``detector(y_chunk, x_chunk)`` on matrices of
@@ -83,7 +83,7 @@ def estimate_ber(detector, params: ChannelParams, nblocks: int, seed: int,
 
 
 def estimate_ber_paired(detectors, params: ChannelParams, nblocks: int, seed: int,
-                        n: int = 71, chunk_blocks: int = 2048) -> list[BerEstimate]:
+                        n: int, chunk_blocks: int = 2048) -> list[BerEstimate]:
     """:func:`estimate_ber` for several detectors in one pass over the blocks.
 
     Each chunk is sampled once and scored by every detector, so the
@@ -103,7 +103,7 @@ def estimate_ber_paired(detectors, params: ChannelParams, nblocks: int, seed: in
 
 
 def dtd_calibrate(detector, params: ChannelParams, m_blocks: int, seed: int,
-                  n: int = 71) -> DtdResult:
+                  n: int) -> DtdResult:
     """Derive an adjusted threshold from a detector's decisions on ``m_blocks`` blocks."""
     x, y = sample_block_matrix(params, n, m_blocks, seed)
     labels = detector(y, x)
@@ -118,8 +118,8 @@ class SweepSpec:
     detectors: tuple[str, ...]
     blocks_per_point: int
     seed: int
-    n: int = 71
-    calib_blocks: int = 100
+    n: int
+    calib_blocks: int
     quantizer: QuantizerSpec | None = None
 
     def __post_init__(self):
@@ -206,21 +206,23 @@ class TriggerPolicy:
 
     ``periodic``: after every ``period`` threshold-detected blocks since the
     last recalibration.  ``on_failure``: when a block's error fraction
-    reaches ``threshold``, a stand-in for an ECC decoder failure (the
-    default 2/71 corresponds to a single-error-correcting code giving up).
+    reaches ``threshold``, a stand-in for an ECC decoder failure, which
+    such a policy must be given.
     """
 
     kind: str
     period: int = 0
-    threshold: float = 2.0 / 71.0
+    threshold: float | None = None
 
     def __post_init__(self):
         if self.kind not in TRIGGER_KINDS:
             raise ParameterError(f"unknown trigger kind {self.kind!r}")
         if self.kind == "periodic" and self.period < 1:
             raise ParameterError("periodic trigger needs period >= 1")
-        if self.kind == "on_failure" and not (0.0 < self.threshold <= 1.0):
-            raise ParameterError("failure threshold must be in (0, 1]")
+        if self.kind == "on_failure" and not (self.threshold is not None
+                                              and 0.0 < self.threshold <= 1.0):
+            raise ParameterError(f"an on_failure trigger needs a failure threshold in (0, 1], "
+                                 f"got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -286,8 +288,8 @@ class SessionLog:
         return sum(s.triggers for s in self.segments)
 
 
-def simulate_recalibration_session(schedule: DriftSchedule, detector, seed: int, m_blocks: int = 100,
-                                   initial_threshold: float | None = None, n: int = 71) -> SessionLog:
+def simulate_recalibration_session(schedule: DriftSchedule, detector, seed: int, m_blocks: int,
+                                   initial_threshold: float | None = None, *, n: int) -> SessionLog:
     """Replay the deployment loop: cheap threshold detection, NN only on triggers.
 
     Blocks stream under the scheduled channel, each detected with the current

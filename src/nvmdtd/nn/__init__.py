@@ -6,7 +6,7 @@ states the gate equations of the recurrent layers.
 """
 
 from .layers import relu, sigmoid, xavier_uniform_init
-from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, count_params, create_model, param_shapes
+from .models import KIND_MLP, KIND_RNN, MlpModel, RnnModel, create_model, param_shapes
 from .optim import AdamState, adam_step
 from .training import (
     DESK_TRAIN_BLOCKS,

@@ -240,10 +240,6 @@ def create_model(kind: str, n: int, rng: np.random.Generator, hidden: int | None
     return MODELS[kind](params)
 
 
-def count_params(model) -> int:
-    return sum(arr.size for _, arr in model.param_blocks())
-
-
 @functools.cache
 def _tile_pool():
     """The process-wide pool running recurrent row tiles, with ``_tile_workers()`` workers.

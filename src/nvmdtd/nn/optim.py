@@ -34,7 +34,7 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    lr: float = 1e-3,
+    lr: float,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One Adam update; parameter arrays are modified in place and returned."""
     if params.keys() != grads.keys():

@@ -39,7 +39,7 @@ class TrainConfig:
     train_blocks: int
     validation_blocks: int
     seed: int
-    learning_rate: float = 1e-3
+    learning_rate: float
 
     def __post_init__(self):
         for field_name in ("epochs", "minibatch_blocks", "train_blocks", "validation_blocks"):
@@ -76,7 +76,7 @@ def validation_ber(model, x_bits: np.ndarray, y_reads: np.ndarray,
 
 
 def train(kind: str, params: ChannelParams, config: TrainConfig,
-          n: int = 71, hidden: int | None = None) -> TrainResult:
+          n: int, hidden: int | None = None) -> TrainResult:
     """Train a fresh model of the given kind on data sampled from ``params``.
 
     Raises :class:`DivergenceError` as soon as a minibatch loss goes

@@ -25,7 +25,8 @@ def trained_tiny_mlp():
     """
     params = ChannelParams.from_ratio(0.02, mu0=1.0, mu1=2.0)
     config = TrainConfig(
-        epochs=60, minibatch_blocks=4, train_blocks=400, validation_blocks=100, seed=424242
+        epochs=60, minibatch_blocks=4, train_blocks=400, validation_blocks=100, seed=424242,
+        learning_rate=1e-3,
     )
     result = train("mlp", params, config, n=8)
     assert isinstance(result.model, MlpModel)

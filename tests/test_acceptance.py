@@ -18,13 +18,15 @@ from nvmdtd.analytic import (
 from nvmdtd.channel import ChannelParams, NoiseModel, derive_seed
 from nvmdtd.detectors import GenieDetector, NnDetector, ThresholdDetector, dtd_search, threshold_detect
 from nvmdtd.harness import dtd_calibrate, estimate_ber, estimate_ber_paired
-from nvmdtd.nn.models import count_params, create_model
+from nvmdtd.nn.models import create_model
 from nvmdtd.nn.training import TrainConfig, train
 
 from empirical import empirical_threshold
+from param_count import count_params
 
 RATIOS = (0.05, 0.08, 0.10, 0.12)
-TEN_MILLION_BITS_BLOCKS = math.ceil(1e7 / 71)
+N = 71  # the paper's block length
+TEN_MILLION_BITS_BLOCKS = math.ceil(1e7 / N)
 
 
 def verdict(criterion: str, ok: bool, detail: str = ""):
@@ -41,8 +43,8 @@ def verdict(criterion: str, ok: bool, detail: str = ""):
 
 def test_c1_architecture_pinning():
     rng = np.random.default_rng(0)
-    mlp = count_params(create_model("mlp", 71, rng))
-    rnn = count_params(create_model("rnn", 71, rng))
+    mlp = count_params(create_model("mlp", N, rng))
+    rnn = count_params(create_model("rnn", N, rng))
     verdict("C1 architecture pinning", mlp == 40683 and rnn == 46080,
             f"mlp={mlp} rnn={rnn}")
 
@@ -57,7 +59,7 @@ def test_c2_analytic_monte_carlo_agreement():
         p = ChannelParams.from_ratio(ratio)
         ref = optimal_threshold_closed_form(p, b=0.0)
         est = estimate_ber(ThresholdDetector(ref.r_th), p, TEN_MILLION_BITS_BLOCKS,
-                           seed=derive_seed(2001, int(ratio * 100)))
+                           seed=derive_seed(2001, int(ratio * 100)), n=N)
         sigma = math.sqrt(ref.ber * (1 - ref.ber) / est.bits)
         if abs(est.ber - ref.ber) > 3 * sigma:
             failures.append(f"no-offset ratio={ratio}: mc={est.ber:.3e} ref={ref.ber:.3e}")
@@ -67,7 +69,7 @@ def test_c2_analytic_monte_carlo_agreement():
             r_th = optimal_threshold_closed_form(p, b=p.offset_mu_b).r_th
             expected = ber_variable_offset(r_th, p)
             est = estimate_ber(ThresholdDetector(r_th), p, TEN_MILLION_BITS_BLOCKS,
-                               seed=derive_seed(2002, int(ratio * 100), int(sb * 100)))
+                               seed=derive_seed(2002, int(ratio * 100), int(sb * 100)), n=N)
             sigma = math.sqrt(expected * (1 - expected) / est.bits)
             if abs(est.ber - expected) > 3 * sigma:
                 failures.append(
@@ -194,7 +196,7 @@ def test_c6_dtd_genie_convergence():
     p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
     opt = optimal_threshold_bisection(p)
     devs = [
-        abs(dtd_calibrate(GenieDetector(), p, 1000, seed=derive_seed(600 + s, 0)).r_adj
+        abs(dtd_calibrate(GenieDetector(), p, 1000, seed=derive_seed(600 + s, 0), n=N).r_adj
             - opt.r_th)
         for s in range(20)
     ]
@@ -210,8 +212,8 @@ def test_c6_dtd_genie_convergence():
 def desk_trained_rnn():
     params = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
     config = TrainConfig(epochs=6, minibatch_blocks=2, train_blocks=1600,
-                         validation_blocks=800, seed=20260808)
-    result = train("rnn", params, config)
+                         validation_blocks=800, seed=20260808, learning_rate=1e-3)
+    result = train("rnn", params, config, n=N)
     return params, result
 
 
@@ -219,10 +221,10 @@ def test_c7_end_to_end_detection_quality(desk_trained_rnn):
     params, result = desk_trained_rnn
     opt = optimal_threshold_bisection(params)
     detector = NnDetector(result.model)
-    rnn_est = estimate_ber(detector, params, 10_000, seed=derive_seed(700, 0))
-    calib = dtd_calibrate(detector, params, 1000, seed=derive_seed(700, 1))
+    rnn_est = estimate_ber(detector, params, 10_000, seed=derive_seed(700, 0), n=N)
+    calib = dtd_calibrate(detector, params, 1000, seed=derive_seed(700, 1), n=N)
     dtd_est = estimate_ber(ThresholdDetector(calib.r_adj), params, 10_000,
-                           seed=derive_seed(700, 0))
+                           seed=derive_seed(700, 0), n=N)
     rnn_ok = rnn_est.ber <= 1.5 * opt.ber
     dtd_ok = dtd_est.ber <= rnn_est.ber + rnn_est.ci_half_width
     verdict(
@@ -266,8 +268,8 @@ def test_c8b_rnn_converges_in_fewer_epochs():
     histories = {}
     for kind, mb in (("rnn", 2), ("mlp", 4)):
         config = TrainConfig(epochs=8, minibatch_blocks=mb, train_blocks=1200,
-                             validation_blocks=400, seed=808)
-        histories[kind] = train(kind, params, config).history
+                             validation_blocks=400, seed=808, learning_rate=1e-3)
+        histories[kind] = train(kind, params, config, n=N).history
     rnn_epoch = first_epoch_in_band(histories["rnn"])
     mlp_epoch = first_epoch_in_band(histories["mlp"])
     verdict("C8b matched-budget curves: RNN reaches its band first",
@@ -289,8 +291,8 @@ def test_c9_beta_channel_empirical_beats_gaussian_assumption():
         curve2 = optimal_threshold_closed_form(gauss_view, b=p.offset_mu_b)
         eval_seed = derive_seed(901, int(ratio * 100))
         e_emp, e_gauss = estimate_ber_paired(
-            [ThresholdDetector(emp_r), ThresholdDetector(curve2.r_th)], p, 30_000, seed=eval_seed
-        )
+            [ThresholdDetector(emp_r), ThresholdDetector(curve2.r_th)], p, 30_000, seed=eval_seed,
+            n=N)
         if e_emp.ber > e_gauss.ber:
             failures.append(f"ratio={ratio}: emp={e_emp.ber:.3e} > gauss={e_gauss.ber:.3e}")
     verdict("C9 empirical optimum beats Gaussian-assumption threshold under Beta noise",

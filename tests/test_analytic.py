@@ -418,7 +418,7 @@ class TestCenteredBeta:
         p = beta_channel(ratio)
         opt = optimal_threshold_bisection(p)
         est = estimate_ber(ThresholdDetector(opt.r_th), p, 20_000,
-                           seed=2003 + int(ratio * 100))
+                           seed=2003 + int(ratio * 100), n=71)
         sigma = math.sqrt(opt.ber * (1 - opt.ber) / est.bits)
         assert abs(est.ber - opt.ber) <= 3 * sigma
 

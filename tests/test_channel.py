@@ -210,6 +210,11 @@ _STARTS = [0, 63, 64, 65, 64 * 2**32]
 _MODELS = [ChannelParams.from_ratio(0.1, mu_b=-0.2, sigma_b_over_mu1=0.04),
            ChannelParams.from_ratio(0.08, mu_b=-0.2, sigma_b_over_mu1=0.04,
                                     noise_model=NoiseModel.CENTERED_BETA)]
+# Channels without offset spread draw no offset, while the reference still draws it last.
+_NO_SPREAD = [ChannelParams.from_ratio(ratio, mu_b=mu_b, noise_model=model)
+              for ratio, model in ((0.1, NoiseModel.GAUSSIAN), (0.08, NoiseModel.CENTERED_BETA))
+              for mu_b in (0.0, -0.0, -0.2, 0.3)]
+_NO_SPREAD_IDS = [f"{p.noise_model.value}-mu_b={p.offset_mu_b}" for p in _NO_SPREAD]
 
 
 @pytest.fixture
@@ -228,7 +233,8 @@ def built_streams(monkeypatch):
 class TestBulkSeeding:
     """The sampler equals the super-block definition, 64 blocks per stream, byte for byte."""
 
-    @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
+    @pytest.mark.parametrize("params", _MODELS + _NO_SPREAD,
+                             ids=["gaussian", "centered-beta", *_NO_SPREAD_IDS])
     @pytest.mark.parametrize("n", [*range(1, 10), 16, 71, 100])
     def test_matrix_equals_per_block_reference(self, params, n):
         for seed in _SEEDS:
@@ -298,17 +304,21 @@ class TestDrawOrder:
     """Each super-block's draws, by name and shape: the v3 scheme."""
 
     @pytest.mark.parametrize("n", [1, 71])
-    @pytest.mark.parametrize("params", _MODELS, ids=["gaussian", "centered-beta"])
+    @pytest.mark.parametrize("params", _MODELS + _NO_SPREAD[:1] + _NO_SPREAD[4:5],
+                             ids=["gaussian", "centered-beta", "gaussian-no-offset-spread",
+                                  "centered-beta-no-offset-spread"])
     def test_draws_per_superblock(self, monkeypatch, params, n):
         calls = []
         monkeypatch.setattr(channel, "superblock_stream",
                             lambda seed, k: _RecordingStream(superblock_stream(seed, k), calls))
         sample_block_matrix(params, n, 3, seed=5, start=62)  # two super-blocks
         names = [name for name, _, _ in calls]
+        # The offset is drawn last, and only when it has a spread.
+        offset = ["standard_normal"] if params.offset_sigma_b > 0 else []
         if params.noise_model is NoiseModel.GAUSSIAN:
-            assert names == ["integers", "standard_normal", "standard_normal"] * 2
+            assert names == (["integers", "standard_normal"] + offset) * 2
             return
-        assert names == ["integers", "beta", "standard_normal"] * 2
+        assert names == (["integers", "beta"] + offset) * 2
         for name, args, kwargs in calls:
             if name == "beta":
                 assert kwargs == {} and len(args) == 2

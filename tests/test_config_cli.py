@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import importlib
+import inspect
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from nvmdtd.config import (
 )
 from nvmdtd.cli import _build_parser, main
 from nvmdtd.errors import ConfigError
+from nvmdtd.nn import optim, training
 from nvmdtd.nn.models import create_model
 from nvmdtd.nn.weights_io import read_weight_manifest, save_weights
 
@@ -134,6 +136,21 @@ class TestResolveConfig:
             load_config(path)
         assert main(["analytic", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: top level must be a JSON object\n"
+
+    @pytest.mark.parametrize("entry, names", [
+        (harness.estimate_ber, ("n",)),
+        (harness.estimate_ber_paired, ("n",)),
+        (harness.dtd_calibrate, ("n",)),
+        (harness.SweepSpec, ("n", "calib_blocks")),
+        (harness.simulate_recalibration_session, ("n", "m_blocks")),
+        (training.train, ("n",)),
+        (training.TrainConfig, ("learning_rate",)),
+        (optim.adam_step, ("lr",)),
+    ], ids=lambda v: v.__name__ if callable(v) else "-".join(v))
+    def test_run_defaults_live_only_in_the_config(self, entry, names):
+        """The library takes these values from its caller; DEFAULT_CONFIG holds their defaults."""
+        params = inspect.signature(entry).parameters
+        assert [name for name in names if params[name].default is not inspect.Parameter.empty] == []
 
     def test_readme_config_example_resolves(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -35,6 +35,10 @@ from nvmdtd.nn.models import create_model
 from nvmdtd.nn.training import TrainConfig, train
 
 
+N = DEFAULT_CONFIG["n"]
+CALIB_BLOCKS = DEFAULT_CONFIG["sweep"]["calib_blocks"]
+
+
 def _points(ratios, mu_b_values=(0.0,), sigma_b_over_mu1=0.0, noise_model="gaussian"):
     """Sweep points over a ratio x mu_b grid of the default channel, ratio outer."""
     fixed = {"sigma_b_over_mu1": sigma_b_over_mu1, "noise_model": noise_model}
@@ -51,13 +55,13 @@ class TestBerEstimate:
 
     def test_genie_is_error_free(self):
         p = ChannelParams.from_ratio(0.12, mu_b=-0.2, sigma_b_over_mu1=0.07)
-        est = estimate_ber(GenieDetector(), p, 200, seed=1)
+        est = estimate_ber(GenieDetector(), p, 200, seed=1, n=N)
         assert est.errors == 0 and est.ber == 0.0
 
     def test_threshold_matches_analytic_no_offset(self):
         p = ChannelParams.from_ratio(0.12)
         ref = optimal_threshold_closed_form(p, b=0.0)
-        est = estimate_ber(ThresholdDetector(ref.r_th), p, 15_000, seed=21)
+        est = estimate_ber(ThresholdDetector(ref.r_th), p, 15_000, seed=21, n=N)
         sigma = math.sqrt(ref.ber * (1 - ref.ber) / est.bits)
         assert abs(est.ber - ref.ber) <= 3 * sigma
 
@@ -65,36 +69,36 @@ class TestBerEstimate:
         p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
         midpoint = 0.5 * (p.mu0 + p.mu1)
         expected = ber_variable_offset(midpoint, p)
-        est = estimate_ber(ThresholdDetector(midpoint), p, 15_000, seed=22)
+        est = estimate_ber(ThresholdDetector(midpoint), p, 15_000, seed=22, n=N)
         sigma = math.sqrt(expected * (1 - expected) / est.bits)
         assert abs(est.ber - expected) <= 3 * sigma
 
     def test_invariant_to_chunking(self):
         p = ChannelParams.from_ratio(0.10)
         det = ThresholdDetector(1.35)
-        a = estimate_ber(det, p, 3000, seed=5, chunk_blocks=37)
-        b = estimate_ber(det, p, 3000, seed=5, chunk_blocks=1024)
-        c = estimate_ber(det, p, 3000, seed=5, chunk_blocks=256)
+        a = estimate_ber(det, p, 3000, seed=5, n=N, chunk_blocks=37)
+        b = estimate_ber(det, p, 3000, seed=5, n=N, chunk_blocks=1024)
+        c = estimate_ber(det, p, 3000, seed=5, n=N, chunk_blocks=256)
         assert a == b == c
 
     def test_rejects_zero_blocks(self):
         with pytest.raises(ParameterError):
-            estimate_ber(GenieDetector(), ChannelParams.from_ratio(0.05), 0, seed=1)
+            estimate_ber(GenieDetector(), ChannelParams.from_ratio(0.05), 0, seed=1, n=N)
 
     def test_paired_pass_invariant_to_chunking(self):
         p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.04)
         dets = [ThresholdDetector(1.3), ThresholdDetector(1.45), GenieDetector()]
-        runs = [estimate_ber_paired(dets, p, 3000, seed=5, chunk_blocks=chunk)
+        runs = [estimate_ber_paired(dets, p, 3000, seed=5, n=N, chunk_blocks=chunk)
                 for chunk in (37, 1024, 5000)]
         assert all(run == runs[0] for run in runs)
-        assert runs[0] == [estimate_ber(det, p, 3000, seed=5) for det in dets]
+        assert runs[0] == [estimate_ber(det, p, 3000, seed=5, n=N) for det in dets]
         assert runs[0][0].errors != runs[0][1].errors
 
 
 class TestDtdCalibrate:
     def test_genie_near_optimum(self, active_offset_channel):
         opt = optimal_threshold_bisection(active_offset_channel)
-        calib = dtd_calibrate(GenieDetector(), active_offset_channel, 1000, seed=17)
+        calib = dtd_calibrate(GenieDetector(), active_offset_channel, 1000, seed=17, n=N)
         assert abs(calib.r_adj - opt.r_th) < 0.02
 
 
@@ -107,6 +111,7 @@ class TestRunSweep:
             detectors=tuple(sweep["detectors"]),
             blocks_per_point=sweep["blocks"],
             seed=3,
+            n=N, calib_blocks=CALIB_BLOCKS,
         )
         rows = run_sweep(spec)
         assert len(rows) == 2 * 2 * 3
@@ -126,6 +131,7 @@ class TestRunSweep:
             detectors=("opt-full", "optimum-bound"),
             blocks_per_point=20_000,
             seed=11,
+            n=N, calib_blocks=CALIB_BLOCKS,
         )
         rows = run_sweep(spec)
         by_ratio = {}
@@ -143,6 +149,7 @@ class TestRunSweep:
             detectors=("opt-no-offset", "opt-mean-offset", "opt-full"),
             blocks_per_point=30_000,
             seed=13,
+            n=N, calib_blocks=CALIB_BLOCKS,
         )
         rows = {row["detector"]: row for row in run_sweep(spec)}
         assert rows["opt-no-offset"]["ber"] >= rows["opt-full"]["ber"]
@@ -156,6 +163,7 @@ class TestRunSweep:
             detectors=detectors,
             blocks_per_point=200,
             seed=7,
+            n=N, calib_blocks=CALIB_BLOCKS,
         )
         with pytest.raises(MissingAssetError, match="no trained rnn weights"):
             run_sweep(spec, assets={"mlp": None})
@@ -168,6 +176,7 @@ class TestRunSweep:
             blocks_per_point=300,
             seed=19,
             n=8,
+            calib_blocks=CALIB_BLOCKS,
         )
         rows = {row["detector"]: row for row in run_sweep(spec, assets={"mlp": model})}
         assert rows["genie"]["ber"] == 0.0
@@ -181,13 +190,14 @@ class TestRunSweep:
             detectors=("opt-mean-offset", "opt-full", "optimum-bound"),
             blocks_per_point=5_000,
             seed=23,
+            n=N, calib_blocks=CALIB_BLOCKS,
         )
         rows = {row["detector"]: row for row in run_sweep(spec)}
         p = ChannelParams.from_ratio(0.10, mu_b=-0.2, sigma_b_over_mu1=0.07,
                                      noise_model=NoiseModel.CENTERED_BETA)
         opt = optimal_threshold_bisection(p)
         assert rows["opt-full"]["r_th"] == opt.r_th
-        assert rows["opt-full"]["bits"] == 5_000 * 71
+        assert rows["opt-full"]["bits"] == 5_000 * N
         bound = rows["optimum-bound"]
         assert (bound["r_th"], bound["bits"]) == (opt.r_th, 0)
         assert bound["ber"] == ber_variable_offset(opt.r_th, p)
@@ -202,6 +212,7 @@ class TestRunSweep:
             blocks_per_point=300,
             seed=29,
             n=8,
+            calib_blocks=CALIB_BLOCKS,
         )
         rows = run_sweep(spec, assets={"mlp": model})
         for point_idx, (labels, _) in enumerate(spec.points):
@@ -281,11 +292,12 @@ class TestRunSweep:
                                                     (_points((0.1,)), ())])
     def test_empty_points_or_detectors_rejected(self, points, detectors):
         with pytest.raises(ParameterError, match="non-empty"):
-            SweepSpec(points=points, detectors=detectors, blocks_per_point=10, seed=1)
+            SweepSpec(points=points, detectors=detectors, blocks_per_point=10, seed=1, n=N,
+                      calib_blocks=CALIB_BLOCKS)
 
     def test_unknown_detector_rejected(self):
         spec = SweepSpec(points=_points((0.1,)), detectors=("nonsense",), blocks_per_point=10,
-                         seed=1)
+                         seed=1, n=N, calib_blocks=CALIB_BLOCKS)
         with pytest.raises(ParameterError):
             run_sweep(spec)
 
@@ -294,7 +306,7 @@ class TestTrainingCurve:
     def test_csv_rows_match_epochs(self, tmp_path):
         params = ChannelParams.from_ratio(0.05)
         cfg = TrainConfig(epochs=2, minibatch_blocks=2, train_blocks=40,
-                          validation_blocks=30, seed=5)
+                          validation_blocks=30, seed=5, learning_rate=1e-3)
         result = train("rnn", params, cfg, n=12)
         doc = tmp_path / "c.json"
         doc.write_text(json.dumps({"seed": 5, "n": 12, "channel": {"ratio": 0.05}, "train": {
@@ -313,7 +325,7 @@ class TestTrainingCurve:
     def test_rerun_reproduces_curve(self):
         params = ChannelParams.from_ratio(0.05)
         cfg = TrainConfig(epochs=2, minibatch_blocks=2, train_blocks=40,
-                          validation_blocks=30, seed=5)
+                          validation_blocks=30, seed=5, learning_rate=1e-3)
         a = train("rnn", params, cfg, n=12)
         b = train("rnn", params, cfg, n=12)
         assert a.history == b.history
@@ -322,9 +334,10 @@ class TestTrainingCurve:
 def test_sweep_and_training_write_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_sweep(SweepSpec(points=_points((0.1,)), detectors=("midpoint", "opt-full"),
-                        blocks_per_point=50, seed=1))
+                        blocks_per_point=50, seed=1, n=N, calib_blocks=CALIB_BLOCKS))
     train("rnn", ChannelParams.from_ratio(0.05),
-          TrainConfig(epochs=1, minibatch_blocks=2, train_blocks=4, validation_blocks=4, seed=1),
+          TrainConfig(epochs=1, minibatch_blocks=2, train_blocks=4, validation_blocks=4, seed=1,
+                      learning_rate=1e-3),
           n=8, hidden=4)
     assert list(tmp_path.iterdir()) == []
 
@@ -349,7 +362,8 @@ _PASSES = {
                       trigger=TriggerPolicy(kind="periodic", period=10)),
         GenieDetector(), seed=1, m_blocks=5, n=n),
     "sweep": lambda blocks, n: run_sweep(SweepSpec(
-        points=_points((0.1,)), detectors=("midpoint",), blocks_per_point=blocks, seed=1, n=n)),
+        points=_points((0.1,)), detectors=("midpoint",), blocks_per_point=blocks, seed=1, n=n,
+        calib_blocks=CALIB_BLOCKS)),
 }
 
 
@@ -372,7 +386,7 @@ class TestReadBound:
             _PASSES[name](harness.MAX_PASS_READS // 8, 8)
 
 
-def reference_session(schedule, detector, seed, m_blocks=100, initial_threshold=None, n=71):
+def reference_session(schedule, detector, seed, m_blocks, initial_threshold=None, *, n):
     """The recalibration loop drawn and labeled one block at a time.
 
     The rewritten session must log exactly what this plain loop logs.
@@ -490,6 +504,9 @@ class TestSchedule:
             TriggerPolicy(kind="periodic", period=0)
         with pytest.raises(ParameterError):
             TriggerPolicy(kind="sometimes")
+        # The failure threshold's one default is in the config; the policy has none.
+        with pytest.raises(ParameterError, match="failure threshold"):
+            TriggerPolicy(kind="on_failure")
 
 
 class TestSession:
@@ -551,7 +568,7 @@ class TestSession:
                               trigger=TriggerPolicy(kind="periodic", period=500))
         tracemalloc.start()
         try:
-            log = simulate_recalibration_session(sched, GenieDetector(), seed=4, m_blocks=100)
+            log = simulate_recalibration_session(sched, GenieDetector(), seed=4, m_blocks=100, n=N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,7 +586,7 @@ class TestSession:
             total_blocks=12400,
             trigger=TriggerPolicy(kind="periodic", period=300),
         )
-        log = simulate_recalibration_session(sched, GenieDetector(), seed=2025, m_blocks=500)
+        log = simulate_recalibration_session(sched, GenieDetector(), seed=2025, m_blocks=500, n=N)
         seg1 = log.segments[1]
         opt_new = optimal_threshold_bisection(p1)
         assert seg1.bits_pre > 0
@@ -587,7 +604,7 @@ class TestSession:
             trigger=TriggerPolicy(kind="periodic", period=200),
         )
         log = simulate_recalibration_session(
-            sched, GenieDetector(), seed=99, m_blocks=1000
+            sched, GenieDetector(), seed=99, m_blocks=1000, n=N
         )
         assert log.triggers_total >= 3
         recals = [r for _, r in log.thresholds[1:]]
@@ -600,7 +617,7 @@ class TestSession:
             total_blocks=60,
             trigger=TriggerPolicy(kind="periodic", period=1),
         )
-        log = simulate_recalibration_session(sched, GenieDetector(), seed=1, m_blocks=10)
+        log = simulate_recalibration_session(sched, GenieDetector(), seed=1, m_blocks=10, n=N)
         # every threshold-detected block fires the trigger
         assert log.triggers_total >= 5
         assert log.nn_blocks_total >= 50
@@ -613,7 +630,7 @@ class TestSession:
             total_blocks=3000,
             trigger=TriggerPolicy(kind="on_failure", threshold=3.0 / 71.0),
         )
-        log = simulate_recalibration_session(sched, GenieDetector(), seed=42, m_blocks=400)
+        log = simulate_recalibration_session(sched, GenieDetector(), seed=42, m_blocks=400, n=N)
         assert log.triggers_total >= 1
         seg1 = log.segments[1]
         assert seg1.ber_post < seg1.ber_pre

@@ -6,7 +6,9 @@ import pytest
 
 from nvmdtd.errors import ParameterError
 from nvmdtd.nn.layers import relu, sigmoid, xavier_uniform_init
-from nvmdtd.nn.models import count_params, create_model
+from nvmdtd.nn.models import create_model
+
+from param_count import count_params
 
 
 class TestActivations:

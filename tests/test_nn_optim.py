@@ -36,7 +36,7 @@ def test_state_counts_steps():
     params = {"w": np.zeros(2)}
     state = AdamState.for_params(params)
     for k in range(3):
-        adam_step(params, {"w": np.ones(2)}, state)
+        adam_step(params, {"w": np.ones(2)}, state, lr=1e-3)
     assert state.step == 3
 
 
@@ -44,12 +44,12 @@ def test_rejects_mismatched_blocks():
     params = {"w": np.zeros(2)}
     state = AdamState.for_params(params)
     with pytest.raises(ParameterError):
-        adam_step(params, {"v": np.zeros(2)}, state)
+        adam_step(params, {"v": np.zeros(2)}, state, lr=1e-3)
 
 
 def test_rejects_gradient_of_another_shape():
     params = {"w": np.zeros(2)}
     state = AdamState.for_params(params)
     with pytest.raises(ParameterError, match=r"gradient shape \(3,\) != param shape \(2,\) for w"):
-        adam_step(params, {"w": np.zeros(3)}, state)
+        adam_step(params, {"w": np.zeros(3)}, state, lr=1e-3)
     np.testing.assert_array_equal(params["w"], np.zeros(2))

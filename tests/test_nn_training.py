@@ -16,7 +16,7 @@ from nvmdtd.nn.training import TrainConfig, create_model, train, validation_ber
 
 def small_config(**overrides) -> TrainConfig:
     base = dict(epochs=2, minibatch_blocks=2, train_blocks=60,
-                validation_blocks=40, seed=101)
+                validation_blocks=40, seed=101, learning_rate=1e-3)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -73,7 +73,7 @@ class TestTrain:
 
     def test_unknown_kind(self, offset_channel):
         with pytest.raises(ParameterError):
-            train("lstm", offset_channel, small_config())
+            train("lstm", offset_channel, small_config(), n=8)
 
     def test_divergence_guard(self, offset_channel, monkeypatch):
         def poisoned(model, y, target):
